@@ -53,12 +53,15 @@ CompositionOutcome finalize_direct(const BaselineContext& ctx, const workload::R
   }
 
   const double now = ctx.engine->now();
-  if (!graph->qualified(*ctx.sys, ctx.sys->true_state(), req.qos_req, req.policy, now)) {
+  stream::CompositionEvaluator eval(*ctx.sys);
+  const auto phi = eval.evaluate(*graph, req.graph.enumerate_paths(), req.qos_req, req.policy,
+                                 ctx.sys->true_state(), now);
+  if (!phi) {
     observe_outcome(ctx, req, out);
     return out;
   }
   out.found_qualified = true;
-  out.phi = graph->congestion_aggregation(*ctx.sys, ctx.sys->true_state(), now);
+  out.phi = *phi;
 
   const double end = req.arrival_time + req.duration_s;
   out.session = ctx.sessions->commit_direct(req.id, *graph, now, end);

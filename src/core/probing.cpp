@@ -89,7 +89,8 @@ ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable
       global_view_(&global_view),
       rng_(rng),
       config_(config),
-      obs_(obs) {
+      obs_(obs),
+      evaluator_(sys) {
   ACP_REQUIRE(config_.probe_timeout_s > 0.0);
   ACP_REQUIRE(config_.transient_ttl_s > 0.0);
   ACP_REQUIRE(config_.max_probes_per_request >= 1);
@@ -397,8 +398,6 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
       probe_ended(coord);
       return;
     }
-    const auto& true_view = sys_->true_state();
-
     // QoS conformance (accumulated includes this component already).
     if (!probe.accumulated.satisfies(req.qos_req)) {
       probe_died(probe, req.id, obs::reason::kQoSViolation);
@@ -426,7 +425,6 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
         return;
       }
     }
-    (void)true_view;
   }
 
   // --- Path complete: return to the deputy.
@@ -662,59 +660,61 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
                              &cap_hit);
   out.candidates_examined = graphs.size();
 
-  // Qualify against precise state and apply the selection policy. The view
-  // is scoped to the request: its own transient reservations (placed by its
-  // probes exactly so these resources are held for it) read as available.
+  // Qualify against precise state and rank by the selection policy. The
+  // view is scoped to the request: its own transient reservations (placed
+  // by its probes exactly so these resources are held for it) read as
+  // available. Sharded, this state is window-frozen, so the ranking is the
+  // preference order the barrier's commit re-checks against live state.
   const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-  std::vector<std::size_t> qualified;
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    if (graphs[i].qualified(*sys_, view, req.qos_req, req.policy, now)) qualified.push_back(i);
+  auto ranked = score_qualified(evaluator_, req, coord->paths, graphs, view, now);
+  out.candidates_qualified = ranked.size();
+  if (coord->selection_policy == SelectionPolicy::kBestPhi) {
+    std::sort(ranked.begin(), ranked.end());
+  } else if (!ranked.empty()) {
+    // Random-qualified: one draw picks the preferred winner; the rest keep
+    // index order as fallbacks.
+    util::Rng& rng = shard_ != nullptr ? coord->rng : rng_;
+    const auto pick = static_cast<std::ptrdiff_t>(rng.below(ranked.size()));
+    std::rotate(ranked.begin(), ranked.begin() + pick, ranked.begin() + pick + 1);
   }
-  out.candidates_qualified = qualified.size();
 
   if (shard_ != nullptr) {
-    // Sharded: the merge + qualification above ran against the window-frozen
-    // view on this shard's worker; winner selection and commit move to the
-    // barrier, where pool state is live.
-    finalize_sharded(coord, std::move(graphs), qualified, out.candidates_examined, cap_hit);
-    attr_wall.reset();
-    prof.reset();
+    shard_->push_op([this, coord, graphs = std::move(graphs), ranked = std::move(ranked), out,
+                     cap_hit] { coord->done(commit(*coord, graphs, ranked, out, cap_hit)); });
     return;
   }
+  out = commit(*coord, graphs, ranked, out, cap_hit);
+  attr_wall.reset();
+  prof.reset();
+  coord->done(out);
+}
 
-  std::optional<std::size_t> winner;
-  if (!qualified.empty()) {
-    if (coord->selection_policy == SelectionPolicy::kBestPhi) {
-      double best_phi = 0.0;
-      for (std::size_t i : qualified) {
-        const double phi = graphs[i].congestion_aggregation(*sys_, view, now);
-        if (!winner || phi < best_phi) {
-          winner = i;
-          best_phi = phi;
-        }
-      }
-    } else {
-      winner = qualified[rng_.below(qualified.size())];
-    }
-  }
-
-  if (winner) {
+CompositionOutcome ProbingProtocol::commit(
+    const Coordinator& coord, const std::vector<stream::ComponentGraph>& graphs,
+    const std::vector<std::pair<double, std::size_t>>& ranked, CompositionOutcome out,
+    bool cap_hit) {
+  const workload::Request& req = *coord.req;
+  const double now = engine_->now();
+  const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
+  for (const auto& candidate : ranked) {
+    const stream::ComponentGraph& g = graphs[candidate.second];
+    const auto phi = evaluator_.evaluate(g, coord.paths, req.qos_req, req.policy, view, now);
+    if (!phi) continue;
     out.found_qualified = true;
-    out.phi = graphs[*winner].congestion_aggregation(*sys_, view, now);
-    const double end = req.arrival_time + req.duration_s;
-    out.session = sessions_->commit_probed(req.id, graphs[*winner], now, end);
+    out.phi = *phi;
+    out.session = sessions_->commit_probed(req.id, g, now, req.arrival_time + req.duration_s);
     // Confirmation messages travel the composition (one per component).
     counters_->add(sim::counter::kConfirmation, req.graph.node_count());
-  } else {
-    sys_->cancel_request(req.id);
+    break;
   }
+  if (!out.found_qualified) sys_->cancel_request(req.id);
 
   if (obs_ != nullptr) {
-    const double setup_s = now - coord->start_time;
+    const double setup_s = now - coord.start_time;
     const char* outcome = out.success() ? "confirmed" : "failed";
     // The request's end-to-end setup latency, attributed to its deputy —
     // "which coordinators' requests waited longest, and where".
-    attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy), -1,
+    attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord.deputy), -1,
                   setup_s);
     obs_->metrics
         .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
@@ -745,112 +745,7 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
       obs_->tracer.event("transients_cancelled").field("req", req.id).field("scope", "all");
     }
   }
-  attr_wall.reset();
-  prof.reset();
-
-  coord->done(out);
-}
-
-void ProbingProtocol::finalize_sharded(const std::shared_ptr<Coordinator>& coord,
-                                       std::vector<stream::ComponentGraph>&& graphs,
-                                       const std::vector<std::size_t>& qualified,
-                                       std::size_t examined, bool cap_hit) {
-  const workload::Request& req = *coord->req;
-  const double frozen_now = sim_now();
-
-  // Ranked preference order against the window-frozen view. The head entry
-  // is exactly the serial winner whenever frozen and live state agree; the
-  // tail is the fallback order for the rare case the barrier's
-  // re-qualification rejects an earlier preference because a concurrent
-  // request claimed the resources first within this window.
-  std::vector<std::size_t> ranked;
-  if (!qualified.empty()) {
-    if (coord->selection_policy == SelectionPolicy::kBestPhi) {
-      const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-      std::vector<std::pair<double, std::size_t>> scored;
-      scored.reserve(qualified.size());
-      for (const std::size_t i : qualified) {
-        scored.emplace_back(graphs[i].congestion_aggregation(*sys_, view, frozen_now), i);
-      }
-      std::sort(scored.begin(), scored.end());
-      ranked.reserve(scored.size());
-      for (const auto& s : scored) ranked.push_back(s.second);
-    } else {
-      // Random-qualified: one draw picks the preferred winner; the rest
-      // follow in index order as fallbacks.
-      const auto pick = static_cast<std::size_t>(coord->rng.below(qualified.size()));
-      ranked.push_back(qualified[pick]);
-      for (std::size_t j = 0; j < qualified.size(); ++j) {
-        if (j != pick) ranked.push_back(qualified[j]);
-      }
-    }
-  }
-
-  auto shared_graphs = std::make_shared<std::vector<stream::ComponentGraph>>(std::move(graphs));
-  shard_->push_op([this, coord, shared_graphs, ranked = std::move(ranked), examined,
-                   frozen_qualified = qualified.size(), cap_hit] {
-    const workload::Request& creq = *coord->req;
-    const double now = engine_->now();
-    CompositionOutcome out;
-    out.candidates_examined = examined;
-    out.candidates_qualified = frozen_qualified;
-
-    // Commit-time re-qualification against live pool state: first ranked
-    // preference that still satisfies Eqs. 2–5 wins.
-    const stream::StreamSystem::RequestScopedView view(*sys_, creq.id);
-    std::optional<std::size_t> winner;
-    for (const std::size_t i : ranked) {
-      if ((*shared_graphs)[i].qualified(*sys_, view, creq.qos_req, creq.policy, now)) {
-        winner = i;
-        break;
-      }
-    }
-
-    if (winner) {
-      out.found_qualified = true;
-      out.phi = (*shared_graphs)[*winner].congestion_aggregation(*sys_, view, now);
-      const double end = creq.arrival_time + creq.duration_s;
-      out.session = sessions_->commit_probed(creq.id, (*shared_graphs)[*winner], now, end);
-      counters_->add(sim::counter::kConfirmation, creq.graph.node_count());
-    } else {
-      sys_->cancel_request(creq.id);
-    }
-
-    if (obs_ != nullptr) {
-      const double setup_s = now - coord->start_time;
-      const char* outcome = out.success() ? "confirmed" : "failed";
-      attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy), -1,
-                    setup_s);
-      obs_->metrics
-          .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
-          .add();
-      obs_->metrics
-          .histogram(obs::metric::kRequestSetupTime, obs::duration_bounds_s(),
-                     {{"outcome", outcome}})
-          .observe(setup_s);
-      if (out.success()) {
-        obs_->tracer.event("composition_confirmed")
-            .field("req", creq.id)
-            .field("session", out.session)
-            .field("phi", out.phi)
-            .field("merged", out.candidates_examined)
-            .field("qualified", out.candidates_qualified)
-            .field("cap_hit", cap_hit)
-            .field("setup_s", setup_s);
-        obs_->tracer.event("transients_cancelled").field("req", creq.id).field("scope", "losers");
-      } else {
-        obs_->tracer.event("composition_failed")
-            .field("req", creq.id)
-            .field("merged", out.candidates_examined)
-            .field("qualified", out.candidates_qualified)
-            .field("found_qualified", out.found_qualified)
-            .field("setup_s", setup_s);
-        obs_->tracer.event("transients_cancelled").field("req", creq.id).field("scope", "all");
-      }
-    }
-
-    coord->done(out);
-  });
+  return out;
 }
 
 }  // namespace acp::core

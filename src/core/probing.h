@@ -164,16 +164,20 @@ class ProbingProtocol : public ProbingExecutor {
   void process_probe(const std::shared_ptr<Coordinator>& coord, Probe probe);
   void probe_returned(const std::shared_ptr<Coordinator>& coord, const Probe& probe);
   void probe_ended(const std::shared_ptr<Coordinator>& coord);
+  /// The deputy's optimal-composition step (paper Sec. 3.3 step 3): merges
+  /// the returned paths, ranks the qualified candidates by the selection
+  /// policy, then runs commit() — inline in serial mode, as a barrier op in
+  /// sharded mode (where the ranking read window-frozen state).
   void finalize(const std::shared_ptr<Coordinator>& coord);
 
-  /// Sharded finalize tail: ranks the qualified compositions against the
-  /// window-frozen view (the worker side), then defers commit as an op that
-  /// re-qualifies the ranked list against live pool state at the barrier
-  /// and commits the first survivor.
-  void finalize_sharded(const std::shared_ptr<Coordinator>& coord,
-                        std::vector<stream::ComponentGraph>&& graphs,
-                        const std::vector<std::size_t>& qualified, std::size_t examined,
-                        bool cap_hit);
+  /// Re-evaluates `ranked` ((φ, index into `graphs`) in preference order)
+  /// against live state, commits the first that still qualifies, cancels
+  /// the request's transients otherwise, and records the outcome. Serially
+  /// nothing changes between ranking and commit, so the head wins.
+  CompositionOutcome commit(const Coordinator& coord,
+                            const std::vector<stream::ComponentGraph>& graphs,
+                            const std::vector<std::pair<double, std::size_t>>& ranked,
+                            CompositionOutcome out, bool cap_hit);
 
   // ---- Serial/sharded dispatch helpers ------------------------------------
   // Each branches on shard_: the serial path is byte-identical to the
@@ -251,6 +255,11 @@ class ProbingProtocol : public ProbingExecutor {
   obs::ProfSlot prof_process_;
   obs::ProfSlot prof_rank_;
   obs::ProfSlot prof_finalize_;
+
+  /// The deputy's evaluation buffers: used by finalize() and by commit(),
+  /// which in sharded mode runs in the apply phase while this instance's
+  /// lane is idle.
+  stream::CompositionEvaluator evaluator_;
 };
 
 }  // namespace acp::core

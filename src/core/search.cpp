@@ -9,7 +9,6 @@ namespace {
 
 using stream::ComponentGraph;
 using stream::ComponentId;
-using stream::FnEdgeIndex;
 using stream::FnNodeIndex;
 using stream::FunctionGraph;
 using stream::QoSVector;
@@ -28,7 +27,7 @@ struct PathWalkConfig {
 std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::Request& req,
                                       const std::vector<FnNodeIndex>& path,
                                       const stream::StateView& view, double now,
-                                      const PathWalkConfig& cfg, bool* cap_hit) {
+                                      const PathWalkConfig& cfg) {
   std::vector<PathAssignment> partials(1);  // one empty prefix
   const FunctionGraph& fg = req.graph;
 
@@ -69,35 +68,12 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
         next.push_back(std::move(ext));
         if (cfg.beam_cap > 0 && next.size() >= cfg.beam_cap) break;
       }
-      if (cfg.beam_cap > 0 && next.size() >= cfg.beam_cap) {
-        if (cap_hit) *cap_hit = true;
-        break;
-      }
+      if (cfg.beam_cap > 0 && next.size() >= cfg.beam_cap) break;
     }
     partials = std::move(next);
     if (partials.empty()) break;  // dead end at this level
   }
   return partials;
-}
-
-/// Picks the qualified merged composition minimizing φ on `eval_view`.
-std::optional<ComponentGraph> best_of(const StreamSystem& sys, const workload::Request& req,
-                                      std::vector<ComponentGraph> graphs,
-                                      const stream::StateView& eval_view, double now,
-                                      SearchStats* stats) {
-  std::optional<ComponentGraph> best;
-  double best_phi = 0.0;
-  for (auto& g : graphs) {
-    if (stats) ++stats->examined;
-    if (!g.qualified(sys, eval_view, req.qos_req, req.policy, now)) continue;
-    if (stats) ++stats->qualified;
-    const double phi = g.congestion_aggregation(sys, eval_view, now);
-    if (!best || phi < best_phi) {
-      best = std::move(g);
-      best_phi = phi;
-    }
-  }
-  return best;
 }
 
 }  // namespace
@@ -162,93 +138,35 @@ std::vector<ComponentGraph> merge_path_assignments(
   return result;
 }
 
+std::vector<std::pair<double, std::size_t>> score_qualified(
+    stream::CompositionEvaluator& eval, const workload::Request& req,
+    const stream::FnPaths& paths, const std::vector<ComponentGraph>& graphs,
+    const stream::StateView& view, double now) {
+  std::vector<std::pair<double, std::size_t>> scored;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const auto phi = eval.evaluate(graphs[i], paths, req.qos_req, req.policy, view, now);
+    if (phi) scored.emplace_back(*phi, i);
+  }
+  return scored;
+}
+
 namespace {
 
-/// Flat, allocation-light exact evaluator for a full assignment. QoS along
-/// every source→sink path is already guaranteed by the QoS-pruned path walk,
-/// so only Eq. 4/5 feasibility and φ remain.
-class FastEvaluator {
- public:
-  FastEvaluator(const StreamSystem& sys, const workload::Request& req,
-                const stream::StateView& view, double now)
-      : sys_(sys), req_(req), view_(view), now_(now) {}
-
-  /// Returns φ(λ), or a negative value when the assignment is infeasible.
-  double evaluate(const std::vector<ComponentId>& assignment) {
-    const FunctionGraph& fg = req_.graph;
-
-    // Aggregate node demand (co-location aware).
-    node_agg_.clear();
-    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
-      add_to(node_agg_, sys_.component(assignment[i]).node, fg.node(i).required);
-    }
-    for (const auto& [node, demand] : node_agg_) {
-      if (!demand.fits_within(view_.node_available(node, now_))) return -1.0;
-    }
-
-    // Aggregate per-overlay-link bandwidth demand.
-    link_agg_.clear();
-    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-      const auto& edge = fg.edge(e);
-      const stream::NodeId a = sys_.component(assignment[edge.from]).node;
-      const stream::NodeId b = sys_.component(assignment[edge.to]).node;
-      if (a == b) continue;
-      sys_.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        add_to(link_agg_, l, edge.required_bandwidth_kbps);
-      });
-    }
-    for (const auto& [link, kbps] : link_agg_) {
-      if (kbps > view_.link_available_kbps(link, now_)) return -1.0;
-    }
-
-    // φ(λ): node terms with co-location-aware residuals, then link terms.
-    double phi = 0.0;
-    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
-      const stream::NodeId node = sys_.component(assignment[i]).node;
-      const stream::ResourceVector avail = view_.node_available(node, now_);
-      phi += stream::congestion_terms(fg.node(i).required, avail - find_in(node_agg_, node));
-    }
-    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-      const auto& edge = fg.edge(e);
-      const stream::NodeId a = sys_.component(assignment[edge.from]).node;
-      const stream::NodeId b = sys_.component(assignment[edge.to]).node;
-      if (a == b) continue;
-      double residual = std::numeric_limits<double>::infinity();
-      sys_.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        residual =
-            std::min(residual, view_.link_available_kbps(l, now_) - find_in(link_agg_, l));
-      });
-      phi += stream::congestion_term(edge.required_bandwidth_kbps, residual);
-    }
-    return phi;
+/// The shared min-φ selection over merged candidates: the head of the
+/// (φ, index) ranking.
+std::optional<ComponentGraph> min_phi(stream::CompositionEvaluator& eval,
+                                      const workload::Request& req, const stream::FnPaths& paths,
+                                      std::vector<ComponentGraph>& graphs,
+                                      const stream::StateView& view, double now,
+                                      SearchStats* stats) {
+  const auto scored = score_qualified(eval, req, paths, graphs, view, now);
+  if (stats) {
+    stats->examined += graphs.size();
+    stats->qualified += scored.size();
   }
-
- private:
-  template <typename K, typename V>
-  static void add_to(std::vector<std::pair<K, V>>& vec, K key, const V& amount) {
-    for (auto& [k, v] : vec) {
-      if (k == key) {
-        v += amount;
-        return;
-      }
-    }
-    vec.emplace_back(key, amount);
-  }
-  template <typename K, typename V>
-  static const V& find_in(const std::vector<std::pair<K, V>>& vec, K key) {
-    for (const auto& [k, v] : vec) {
-      if (k == key) return v;
-    }
-    throw InvariantError("aggregate lookup miss");
-  }
-
-  const StreamSystem& sys_;
-  const workload::Request& req_;
-  const stream::StateView& view_;
-  double now_;
-  std::vector<std::pair<stream::NodeId, stream::ResourceVector>> node_agg_;
-  std::vector<std::pair<net::OverlayLinkIndex, double>> link_agg_;
-};
+  if (scored.empty()) return std::nullopt;
+  return std::move(graphs[std::min_element(scored.begin(), scored.end())->second]);
+}
 
 /// Independent (no cross-component aggregation) congestion estimate of a
 /// path assignment — a provable LOWER bound on the assignment's contribution
@@ -290,16 +208,14 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
   std::vector<std::vector<PathAssignment>> per_path;
   PathWalkConfig cfg;  // unbounded: every qualified continuation
   cfg.beam_cap = combo_cap;
-  bool cap_hit = false;
   for (const auto& path : paths) {
-    per_path.push_back(walk_path(sys, req, path, view, now, cfg, &cap_hit));
-    if (per_path.back().empty()) {
-      if (stats) stats->cap_hit = cap_hit;
-      return std::nullopt;  // some path has no feasible assignment at all
-    }
+    per_path.push_back(walk_path(sys, req, path, view, now, cfg));
+    if (per_path.back().empty()) return std::nullopt;  // some path has no feasible assignment
   }
 
-  FastEvaluator evaluator(sys, req, view, now);
+  // The walk already enforced Eq. 2, interfaces, policy and Eq. 3 per path,
+  // so each full assignment needs only Eqs. 4–5 and φ.
+  stream::CompositionEvaluator eval(sys);
   std::optional<std::vector<ComponentId>> best_assignment;
   double best_phi = std::numeric_limits<double>::infinity();
   std::size_t evals = 0;
@@ -309,11 +225,11 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     if (lower_bound >= best_phi) return false;
     ++evals;
     if (stats) ++stats->examined;
-    const double phi = evaluator.evaluate(assignment);
-    if (phi >= 0.0) {
+    const auto phi = eval.phi(req.graph, assignment, view, now);
+    if (phi) {
       if (stats) ++stats->qualified;
-      if (phi < best_phi) {
-        best_phi = phi;
+      if (*phi < best_phi) {
+        best_phi = *phi;
         best_assignment = assignment;
       }
     }
@@ -339,10 +255,7 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
               [](const Entry& a, const Entry& b) { return a.bound < b.bound; });
     std::vector<ComponentId> assignment(req.graph.node_count());
     for (const auto& e : entries) {
-      if (evals >= combo_cap) {
-        if (stats) stats->cap_hit = true;
-        break;
-      }
+      if (evals >= combo_cap) break;
       for (std::size_t i = 0; i < paths[0].size(); ++i) {
         assignment[paths[0][i]] = e.pa->components[i];
       }
@@ -355,8 +268,7 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     // back to full merge (template generator never produces them).
     if (paths.size() > 2) {
       auto graphs = merge_path_assignments(req.graph, paths, per_path, combo_cap, nullptr);
-      if (stats) stats->cap_hit = cap_hit;
-      return best_of(sys, req, std::move(graphs), view, now, stats);
+      return min_phi(eval, req, paths, graphs, view, now, stats);
     }
 
     // Shared fn nodes between the two paths.
@@ -421,7 +333,6 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
         if (a.bound + bs[0].bound >= best_phi) break;
         for (const auto& b : bs) {
           if (evals >= combo_cap) {
-            if (stats) stats->cap_hit = true;
             stop_all = true;
             break;
           }
@@ -441,7 +352,6 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     }
   }
 
-  if (stats && cap_hit) stats->cap_hit = true;
   if (!best_assignment) return std::nullopt;
   ComponentGraph g(req.graph);
   for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) g.assign(i, (*best_assignment)[i]);
@@ -496,13 +406,12 @@ std::optional<ComponentGraph> guided_search(const StreamSystem& sys, const workl
   cfg.alpha = alpha;
   cfg.risk_eps = risk_eps;
   cfg.beam_cap = beam_cap;
-  bool cap_hit = false;
   for (const auto& path : paths) {
-    per_path.push_back(walk_path(sys, req, path, decision_view, now, cfg, &cap_hit));
+    per_path.push_back(walk_path(sys, req, path, decision_view, now, cfg));
   }
   auto graphs = merge_path_assignments(req.graph, paths, per_path, beam_cap, nullptr);
-  if (stats) stats->cap_hit = cap_hit;
-  return best_of(sys, req, std::move(graphs), eval_view, now, stats);
+  stream::CompositionEvaluator eval(sys);
+  return min_phi(eval, req, paths, graphs, eval_view, now, stats);
 }
 
 }  // namespace acp::core

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/candidate_selection.h"
@@ -25,7 +26,6 @@ namespace acp::core {
 struct SearchStats {
   std::size_t examined = 0;   ///< complete compositions evaluated
   std::size_t qualified = 0;  ///< of those, how many passed Eqs. 2–5
-  bool cap_hit = false;       ///< enumeration was truncated by a cap
 };
 
 /// Per-path partial assignment used by both searches and by the probing
@@ -45,6 +45,16 @@ struct PathAssignment {
 std::vector<stream::ComponentGraph> merge_path_assignments(
     const stream::FunctionGraph& fg, const std::vector<std::vector<stream::FnNodeIndex>>& paths,
     const std::vector<std::vector<PathAssignment>>& per_path, std::size_t cap, bool* cap_hit);
+
+/// The deputy's qualification step (paper Sec. 3.3 step 3), shared by every
+/// min-φ selection: evaluates each merged candidate once with `eval`
+/// against `view` and returns the qualified ones as (φ(λ), index) pairs in
+/// index order. Sorting them gives the (φ, index) ranking, whose head is
+/// the first strict φ minimum.
+std::vector<std::pair<double, std::size_t>> score_qualified(
+    stream::CompositionEvaluator& eval, const workload::Request& req,
+    const stream::FnPaths& paths, const std::vector<stream::ComponentGraph>& graphs,
+    const stream::StateView& view, double now);
 
 /// Exhaustive search: every combination of candidates (per-path DFS with
 /// Eq. 6–8 pruning, then cross-path merge), evaluated against `view`;

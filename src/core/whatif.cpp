@@ -32,8 +32,10 @@ void WhatIfView::take_link(net::OverlayLinkIndex l, double kbps) { link_taken_[l
 
 void WhatIfView::apply_composition(const stream::StreamSystem& sys,
                                    const stream::ComponentGraph& cg) {
-  for (const auto& [node, demand] : cg.demand_by_node(sys)) take_node(node, demand);
-  for (const auto& [link, kbps] : cg.bandwidth_by_link(sys)) take_link(link, kbps);
+  stream::CompositionEvaluator demand(sys);
+  demand.aggregate(cg.function_graph(), cg.assignment());
+  for (const auto& n : demand.node_demand()) take_node(n.node, n.demand);
+  for (const auto& l : demand.link_demand()) take_link(l.link, l.kbps);
 }
 
 void WhatIfView::reset() {

@@ -60,81 +60,6 @@ QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& vie
   return q;
 }
 
-bool ComponentGraph::satisfies_qos(const StreamSystem& sys, const StateView& view,
-                                   const QoSVector& req, double now) const {
-  for (const auto& path : fg_->enumerate_paths()) {
-    if (!path_qos(sys, view, path, now).satisfies(req)) return false;
-  }
-  return true;
-}
-
-std::map<NodeId, ResourceVector> ComponentGraph::demand_by_node(const StreamSystem& sys) const {
-  std::map<NodeId, ResourceVector> demand;
-  for (FnNodeIndex i = 0; i < assignment_.size(); ++i) {
-    const NodeId node = sys.component(component_at(i)).node;
-    demand[node] += fg_->node(i).required;
-  }
-  return demand;
-}
-
-std::map<net::OverlayLinkIndex, double> ComponentGraph::bandwidth_by_link(
-    const StreamSystem& sys) const {
-  std::map<net::OverlayLinkIndex, double> demand;
-  for (FnEdgeIndex e = 0; e < fg_->edge_count(); ++e) {
-    const FnEdge& edge = fg_->edge(static_cast<FnEdgeIndex>(e));
-    const NodeId a = sys.component(component_at(edge.from)).node;
-    const NodeId b = sys.component(component_at(edge.to)).node;
-    if (a == b) continue;  // co-located: no bandwidth consumed
-    sys.mesh().for_each_virtual_link(
-        a, b, [&](net::OverlayLinkIndex l) { demand[l] += edge.required_bandwidth_kbps; });
-  }
-  return demand;
-}
-
-bool ComponentGraph::resources_feasible(const StreamSystem& sys, const StateView& view,
-                                        double now) const {
-  for (const auto& [node, demand] : demand_by_node(sys)) {
-    if (!demand.fits_within(view.node_available(node, now))) return false;
-  }
-  for (const auto& [link, kbps] : bandwidth_by_link(sys)) {
-    if (kbps > view.link_available_kbps(link, now)) return false;
-  }
-  return true;
-}
-
-double ComponentGraph::congestion_aggregation(const StreamSystem& sys, const StateView& view,
-                                              double now) const {
-  ACP_REQUIRE(fully_assigned());
-  double phi = 0.0;
-
-  // Node terms: residual on each node accounts for the composition's entire
-  // demand there (footnote 5), then each component contributes
-  // Σ_k r_k / (rr_k + r_k).
-  const auto node_demand = demand_by_node(sys);
-  for (FnNodeIndex i = 0; i < assignment_.size(); ++i) {
-    const NodeId node = sys.component(component_at(i)).node;
-    const ResourceVector avail = view.node_available(node, now);
-    const ResourceVector residual = avail - node_demand.at(node);
-    phi += congestion_terms(fg_->node(i).required, residual);
-  }
-
-  // Virtual-link terms: b / (rb + b) where rb is the bottleneck residual
-  // along the virtual link after all of this composition's link demands.
-  const auto link_demand = bandwidth_by_link(sys);
-  for (FnEdgeIndex e = 0; e < fg_->edge_count(); ++e) {
-    const FnEdge& edge = fg_->edge(e);
-    const NodeId a = sys.component(component_at(edge.from)).node;
-    const NodeId b = sys.component(component_at(edge.to)).node;
-    if (a == b) continue;  // rb = ∞ ⇒ term = 0 (footnote 8)
-    double residual = std::numeric_limits<double>::infinity();
-    sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-      residual = std::min(residual, view.link_available_kbps(l, now) - link_demand.at(l));
-    });
-    phi += congestion_term(edge.required_bandwidth_kbps, residual);
-  }
-  return phi;
-}
-
 bool ComponentGraph::satisfies_policy(const StreamSystem& sys,
                                       const PolicyConstraint& policy) const {
   if (policy.is_permissive()) return true;
@@ -157,15 +82,11 @@ bool ComponentGraph::interfaces_compatible(const StreamSystem& sys) const {
 }
 
 bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
-                               const QoSVector& qos_req, double now) const {
-  return fully_assigned() && functions_match(sys) && interfaces_compatible(sys) &&
-         satisfies_qos(sys, view, qos_req, now) && resources_feasible(sys, view, now);
-}
-
-bool ComponentGraph::qualified(const StreamSystem& sys, const StateView& view,
                                const QoSVector& qos_req, const PolicyConstraint& policy,
                                double now) const {
-  return satisfies_policy(sys, policy) && qualified(sys, view, qos_req, now);
+  return CompositionEvaluator(sys)
+      .evaluate(*this, fg_->enumerate_paths(), qos_req, policy, view, now)
+      .has_value();
 }
 
 std::string ComponentGraph::to_string(const StreamSystem& sys) const {
@@ -182,6 +103,104 @@ std::string ComponentGraph::to_string(const StreamSystem& sys) const {
   }
   os << "}";
   return os.str();
+}
+
+// ---- CompositionEvaluator ----------------------------------------------------
+
+std::optional<double> CompositionEvaluator::evaluate(const ComponentGraph& cg,
+                                                     const FnPaths& paths,
+                                                     const QoSVector& qos_req,
+                                                     const PolicyConstraint& policy,
+                                                     const StateView& view, double now) {
+  if (!cg.fully_assigned() || !cg.functions_match(*sys_) || !cg.interfaces_compatible(*sys_) ||
+      !cg.satisfies_policy(*sys_, policy)) {
+    return std::nullopt;
+  }
+  for (const auto& path : paths) {
+    if (!cg.path_qos(*sys_, view, path, now).satisfies(qos_req)) return std::nullopt;
+  }
+  return phi(cg.function_graph(), cg.assignment(), view, now);
+}
+
+void CompositionEvaluator::aggregate(const FunctionGraph& fg,
+                                     const std::vector<ComponentId>& assignment) {
+  ACP_REQUIRE(assignment.size() == fg.node_count());
+  // Node demand: a composition has a handful of hosts, so a scan per fn
+  // node is cheapest.
+  nodes_.clear();
+  fn_slot_.resize(fg.node_count());
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    const NodeId node = sys_->component(assignment[i]).node;
+    std::uint32_t slot = 0;
+    while (slot < nodes_.size() && nodes_[slot].node != node) ++slot;
+    if (slot == nodes_.size()) nodes_.push_back({node, {}, {}});
+    nodes_[slot].demand += fg.node(i).required;
+    fn_slot_[i] = slot;
+  }
+
+  // Link demand: one use per (edge, walk step), in that order. Sorting the
+  // (link, position) keys groups each link's uses and keeps them in
+  // position order, so every run sums in (edge, walk) order.
+  uses_.clear();
+  use_kbps_.clear();
+  edge_end_.resize(fg.edge_count());
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = sys_->component(assignment[edge.from]).node;
+    const NodeId b = sys_->component(assignment[edge.to]).node;
+    if (a != b) {  // co-located: no bandwidth consumed
+      sys_->mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+        uses_.push_back((std::uint64_t{l} << 32) | uses_.size());
+        use_kbps_.push_back(edge.required_bandwidth_kbps);
+      });
+    }
+    edge_end_[e] = static_cast<std::uint32_t>(uses_.size());
+  }
+  std::sort(uses_.begin(), uses_.end());
+  links_.clear();
+  use_slot_.resize(uses_.size());
+  for (const std::uint64_t use : uses_) {
+    const auto link = static_cast<net::OverlayLinkIndex>(use >> 32);
+    const auto pos = static_cast<std::uint32_t>(use);
+    if (links_.empty() || links_.back().link != link) links_.push_back({link, 0.0});
+    links_.back().kbps += use_kbps_[pos];
+    use_slot_[pos] = static_cast<std::uint32_t>(links_.size() - 1);
+  }
+}
+
+std::optional<double> CompositionEvaluator::phi(const FunctionGraph& fg,
+                                                const std::vector<ComponentId>& assignment,
+                                                const StateView& view, double now) {
+  aggregate(fg, assignment);
+  for (NodeDemand& n : nodes_) {
+    const ResourceVector avail = view.node_available(n.node, now);
+    if (!n.demand.fits_within(avail)) return std::nullopt;
+    n.residual = avail - n.demand;
+  }
+  for (LinkDemand& l : links_) {
+    const double avail = view.link_available_kbps(l.link, now);
+    if (l.kbps > avail) return std::nullopt;
+    l.residual = avail - l.kbps;
+  }
+
+  // Node terms: Σ_k r_k / (rr_k + r_k) per component, with the residual
+  // left after the composition's whole demand on its node.
+  double phi = 0.0;
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    phi += congestion_terms(fg.node(i).required, nodes_[fn_slot_[i]].residual);
+  }
+  // Virtual-link terms: b / (rb + b), rb the bottleneck residual along the
+  // virtual link; a co-located edge has no uses, rb = ∞ and no term.
+  std::uint32_t pos = 0;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    if (pos == edge_end_[e]) continue;
+    double residual = std::numeric_limits<double>::infinity();
+    for (; pos < edge_end_[e]; ++pos) {
+      residual = std::min(residual, links_[use_slot_[pos]].residual);
+    }
+    phi += congestion_term(fg.edge(e).required_bandwidth_kbps, residual);
+  }
+  return phi;
 }
 
 }  // namespace acp::stream

@@ -1,8 +1,10 @@
-// ComponentGraph — a composed stream processing application λ = (C, L).
+// ComponentGraph — a composed stream processing application λ = (C, L) —
+// and CompositionEvaluator, the one implementation of the paper's
+// composition evaluation.
 //
-// Maps every node of a FunctionGraph to a concrete component; virtual links
-// are implied by the chosen components' host nodes (delay-shortest overlay
-// paths). Provides the paper's evaluation primitives:
+// A ComponentGraph maps every node of a FunctionGraph to a concrete
+// component; virtual links are implied by the chosen components' host
+// nodes (delay-shortest overlay paths). The evaluator scores it:
 //
 //   * accumulated QoS along each source→sink path (Eq. 3 check)
 //   * residual-resource feasibility (Eq. 4, 5)
@@ -10,7 +12,9 @@
 //     (footnotes 4, 5, 8)
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,8 +22,13 @@
 #include "stream/function_graph.h"
 #include "stream/state_view.h"
 #include "stream/system.h"
+#include "util/small_vec.h"
 
 namespace acp::stream {
+
+/// A request's source→sink paths (FunctionGraph::enumerate_paths), built
+/// once per request and shared by every evaluation of its candidates.
+using FnPaths = std::vector<std::vector<FnNodeIndex>>;
 
 class ComponentGraph {
  public:
@@ -36,10 +45,13 @@ class ComponentGraph {
   bool fully_assigned() const;
   ComponentId component_at(FnNodeIndex fn) const;
 
+  /// Component per function node (kNoComponent where unassigned).
+  const std::vector<ComponentId>& assignment() const { return assignment_; }
+
   /// Distinct components in the composition (Eq. 2 requires one per fn).
   std::vector<ComponentId> components() const;
 
-  // ---- Evaluation (all read-only against a StateView) ---------------------
+  // ---- Constraint checks (all read-only) -----------------------------------
 
   /// Eq. 2: every assigned component provides the requested function.
   bool functions_match(const StreamSystem& sys) const;
@@ -55,40 +67,15 @@ class ComponentGraph {
   QoSVector path_qos(const StreamSystem& sys, const StateView& view,
                      const std::vector<FnNodeIndex>& path, double now) const;
 
-  /// Eq. 3: every source→sink path's accumulated QoS satisfies `req`.
-  bool satisfies_qos(const StreamSystem& sys, const StateView& view, const QoSVector& req,
-                     double now) const;
-
-  /// Eq. 4 + 5: per-node aggregated demand fits available resources and
-  /// per-overlay-link aggregated bandwidth demand fits available bandwidth.
-  /// Demand aggregation makes this co-location correct: two components of
-  /// this request on one node must jointly fit (footnote 5).
-  bool resources_feasible(const StreamSystem& sys, const StateView& view, double now) const;
-
-  /// Eq. 1: congestion aggregation φ(λ). Lower is better. Uses residual
-  /// resources (available minus this composition's total demand on each
-  /// node/link). Components co-located with their neighbor contribute no
-  /// bandwidth term. Requires fully_assigned().
-  double congestion_aggregation(const StreamSystem& sys, const StateView& view, double now) const;
-
   /// Every assigned component satisfies the request's security/license
   /// policy (extension: paper Sec. 6 future-work constraints).
   bool satisfies_policy(const StreamSystem& sys, const PolicyConstraint& policy) const;
 
-  /// All constraint checks at once (Eqs. 2–5).
-  bool qualified(const StreamSystem& sys, const StateView& view, const QoSVector& qos_req,
-                 double now) const;
-
-  /// Eqs. 2–5 plus the policy constraint.
+  /// Eqs. 2–5 plus the policy constraint. A one-shot convenience that
+  /// enumerates the paths and builds an evaluator per call; code that
+  /// evaluates many candidates holds a CompositionEvaluator instead.
   bool qualified(const StreamSystem& sys, const StateView& view, const QoSVector& qos_req,
                  const PolicyConstraint& policy, double now) const;
-
-  /// Per-node total resource demand of this composition (exposed for tests
-  /// and for the commit path).
-  std::map<NodeId, ResourceVector> demand_by_node(const StreamSystem& sys) const;
-
-  /// Per-overlay-link total bandwidth demand (exposed for tests/commit).
-  std::map<net::OverlayLinkIndex, double> bandwidth_by_link(const StreamSystem& sys) const;
 
   bool operator==(const ComponentGraph& o) const { return assignment_ == o.assignment_; }
 
@@ -97,6 +84,80 @@ class ComponentGraph {
  private:
   const FunctionGraph* fg_;
   std::vector<ComponentId> assignment_;  ///< per fn node; kNoComponent if unset
+};
+
+/// The one implementation of composition evaluation (paper Sec. 3.3 step 3,
+/// the deputy's optimal-composition selection). phi() aggregates a full
+/// assignment's node and overlay-link demand once, checks Eqs. 4–5 and
+/// returns φ(λ), or nullopt when infeasible; evaluate() first checks Eq. 2,
+/// interface compatibility, the policy and Eq. 3 against the request's
+/// paths.
+///
+/// Summation order is part of the contract, so φ is bit-reproducible: a
+/// node's demand sums in fn order, a link's demand in (edge, walk) order,
+/// and φ adds node terms in fn order, then link terms in edge order.
+/// Per-link demand is aggregated by a stable sort of the (link, kbps) uses,
+/// not a scan per use: a torus virtual link spans dozens of overlay links.
+///
+/// The buffers are reused across calls and hold a typical composition
+/// inline, so evaluating allocates nothing in steady state. The owner (a
+/// protocol instance, one search call) must not share an evaluator between
+/// threads.
+class CompositionEvaluator {
+ public:
+  struct NodeDemand {
+    NodeId node;
+    ResourceVector demand;    ///< the composition's total on this node
+    ResourceVector residual;  ///< available − demand (set by phi())
+  };
+  struct LinkDemand {
+    net::OverlayLinkIndex link;
+    double kbps;              ///< the composition's total on this link
+    double residual = 0.0;    ///< available − kbps (set by phi())
+  };
+
+  explicit CompositionEvaluator(const StreamSystem& sys) : sys_(&sys) {}
+
+  /// Eqs. 2–5 and the policy against `view`, then φ(λ); nullopt when any
+  /// check fails. `paths` are cg's request's source→sink paths.
+  std::optional<double> evaluate(const ComponentGraph& cg, const FnPaths& paths,
+                                 const QoSVector& qos_req, const PolicyConstraint& policy,
+                                 const StateView& view, double now);
+
+  /// Eqs. 4–5 and Eq. 1 for a full assignment (one component per fn node):
+  /// residuals account for the composition's entire demand on each node
+  /// and link (footnote 5); co-located neighbors add no bandwidth term
+  /// (footnote 8). Returns φ(λ), or nullopt when some node or link lacks
+  /// the capacity.
+  std::optional<double> phi(const FunctionGraph& fg, const std::vector<ComponentId>& assignment,
+                            const StateView& view, double now);
+
+  /// Aggregates the assignment's demand without reading any state:
+  /// node_demand() lists each host once (first-use order), link_demand()
+  /// each overlay link once (ascending id).
+  void aggregate(const FunctionGraph& fg, const std::vector<ComponentId>& assignment);
+
+  std::span<const NodeDemand> node_demand() const { return {nodes_.data(), nodes_.size()}; }
+  std::span<const LinkDemand> link_demand() const { return {links_.data(), links_.size()}; }
+
+ private:
+  /// Inline capacities: fn nodes/edges of the largest template, and the
+  /// overlay-link uses of a paper-scale (Inet) composition.
+  static constexpr std::size_t kInlineFns = 16;
+  static constexpr std::size_t kInlineUses = 64;
+  template <typename T>
+  using FnVec = util::SmallVec<T, kInlineFns>;
+  template <typename T>
+  using UseVec = util::SmallVec<T, kInlineUses>;
+
+  const StreamSystem* sys_;
+  FnVec<NodeDemand> nodes_;
+  UseVec<LinkDemand> links_;
+  FnVec<std::uint32_t> fn_slot_;    ///< fn node → index in nodes_
+  FnVec<std::uint32_t> edge_end_;   ///< edge → one past its last use position
+  UseVec<std::uint64_t> uses_;      ///< (link << 32 | use position), sorted
+  UseVec<double> use_kbps_;         ///< per use position
+  UseVec<std::uint32_t> use_slot_;  ///< use position → index in links_
 };
 
 }  // namespace acp::stream

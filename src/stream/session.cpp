@@ -72,20 +72,18 @@ SessionId SessionTable::commit_direct(RequestId request, const ComponentGraph& c
   bool ok = true;
   // Per-node aggregated commit keeps co-located components honest: both
   // demands must fit together.
-  for (const auto& [node, demand] : cg.demand_by_node(*sys_)) {
-    if (!sys_->commit_node_direct(id, node, demand, now)) {
-      ok = false;
-      break;
-    }
+  const FunctionGraph& fg = cg.function_graph();
+  CompositionEvaluator demand(*sys_);
+  demand.aggregate(fg, cg.assignment());
+  for (const auto& n : demand.node_demand()) {
+    ok = sys_->commit_node_direct(id, n.node, n.demand, now);
+    if (!ok) break;
   }
-  if (ok) {
-    const FunctionGraph& fg = cg.function_graph();
-    for (FnEdgeIndex e = 0; ok && e < fg.edge_count(); ++e) {
-      const FnEdge& edge = fg.edge(e);
-      const NodeId a = sys_->component(cg.component_at(edge.from)).node;
-      const NodeId b = sys_->component(cg.component_at(edge.to)).node;
-      ok = sys_->commit_virtual_link_direct(id, a, b, edge.required_bandwidth_kbps, now);
-    }
+  for (FnEdgeIndex e = 0; ok && e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = sys_->component(cg.component_at(edge.from)).node;
+    const NodeId b = sys_->component(cg.component_at(edge.to)).node;
+    ok = sys_->commit_virtual_link_direct(id, a, b, edge.required_bandwidth_kbps, now);
   }
   if (!ok) {
     sys_->release_session(id);

@@ -1,7 +1,8 @@
-// Tests for ComponentGraph: Eq. 1 (φ), Eq. 2–5 constraint checks,
-// co-location rules (paper footnotes 4, 5, 8).
+// Tests for ComponentGraph and CompositionEvaluator: Eq. 1 (φ), Eq. 2–5
+// constraint checks, co-location rules (paper footnotes 4, 5, 8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -46,6 +47,11 @@ struct CgFixture : ::testing::Test {
   }
 
   QoSVector loose_req() const { return QoSVector::from_metrics(10000.0, 0.5); }
+
+  /// φ(λ) against the ground truth, or nullopt when Eqs. 4–5 fail.
+  std::optional<double> phi(const ComponentGraph& g) {
+    return CompositionEvaluator(*sys).phi(fg, g.assignment(), sys->true_state(), 0.0);
+  }
 
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
@@ -97,9 +103,13 @@ TEST_F(CgFixture, SatisfiesQosAgainstTightBound) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.satisfies_qos(*sys, sys->true_state(), loose_req(), 0.0));
-  EXPECT_FALSE(g.satisfies_qos(*sys, sys->true_state(),
-                               QoSVector::from_metrics(29.0, 0.5), 0.0));
+  CompositionEvaluator eval(*sys);
+  const auto paths = fg.enumerate_paths();
+  const PolicyConstraint any;
+  EXPECT_TRUE(eval.evaluate(g, paths, loose_req(), any, sys->true_state(), 0.0).has_value());
+  EXPECT_FALSE(eval.evaluate(g, paths, QoSVector::from_metrics(29.0, 0.5), any,
+                             sys->true_state(), 0.0)
+                   .has_value());
 }
 
 TEST_F(CgFixture, DemandAggregatesOnSharedNode) {
@@ -107,11 +117,15 @@ TEST_F(CgFixture, DemandAggregatesOnSharedNode) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);  // co-located with c0 on node 0
   g.assign(2, c2);
-  const auto demand = g.demand_by_node(*sys);
+  CompositionEvaluator eval(*sys);
+  eval.aggregate(fg, g.assignment());
+  const auto& demand = eval.node_demand();
   ASSERT_EQ(demand.size(), 2u);
-  EXPECT_DOUBLE_EQ(demand.at(0).cpu(), 20.0);
-  EXPECT_DOUBLE_EQ(demand.at(0).memory_mb(), 200.0);
-  EXPECT_DOUBLE_EQ(demand.at(2).cpu(), 10.0);
+  EXPECT_EQ(demand[0].node, 0u);
+  EXPECT_DOUBLE_EQ(demand[0].demand.cpu(), 20.0);
+  EXPECT_DOUBLE_EQ(demand[0].demand.memory_mb(), 200.0);
+  EXPECT_EQ(demand[1].node, 2u);
+  EXPECT_DOUBLE_EQ(demand[1].demand.cpu(), 10.0);
 }
 
 TEST_F(CgFixture, CoLocatedEdgeConsumesNoBandwidth) {
@@ -119,17 +133,16 @@ TEST_F(CgFixture, CoLocatedEdgeConsumesNoBandwidth) {
   g.assign(0, c0);
   g.assign(1, c1_on_node0);
   g.assign(2, c2);
-  const auto bw = g.bandwidth_by_link(*sys);
-  // Only edge 1→2 (node 0 → node 2) uses the network.
-  for (auto l : mesh->virtual_link_path(0, 2)) {
-    EXPECT_DOUBLE_EQ(bw.at(l), 100.0);
+  CompositionEvaluator eval(*sys);
+  eval.aggregate(fg, g.assignment());
+  // Only edge 1→2 (node 0 → node 2) uses the network: 100 kbps on each
+  // link of its virtual link, nothing elsewhere.
+  const auto& path = mesh->virtual_link_path(0, 2);
+  ASSERT_EQ(eval.link_demand().size(), path.size());
+  for (const auto& l : eval.link_demand()) {
+    EXPECT_NE(std::find(path.begin(), path.end(), l.link), path.end());
+    EXPECT_DOUBLE_EQ(l.kbps, 100.0);
   }
-  double total = 0;
-  for (const auto& [l, v] : bw) {
-    (void)l;
-    total += v;
-  }
-  EXPECT_DOUBLE_EQ(total, 100.0 * static_cast<double>(mesh->virtual_link_path(0, 2).size()));
 }
 
 TEST_F(CgFixture, PhiMatchesHandComputation) {
@@ -152,7 +165,7 @@ TEST_F(CgFixture, PhiMatchesHandComputation) {
     }
     expected += 100.0 / (residual + 100.0);
   }
-  EXPECT_NEAR(g.congestion_aggregation(*sys, sys->true_state(), 0.0), expected, 1e-9);
+  EXPECT_NEAR(phi(g).value(), expected, 1e-9);
 }
 
 TEST_F(CgFixture, PhiCoLocationUsesJointResidual) {
@@ -171,7 +184,7 @@ TEST_F(CgFixture, PhiCoLocationUsesJointResidual) {
     residual = std::min(residual, sys->link_pool(l).capacity() - 100.0);
   }
   expected += 100.0 / (residual + 100.0);
-  EXPECT_NEAR(g.congestion_aggregation(*sys, sys->true_state(), 0.0), expected, 1e-9);
+  EXPECT_NEAR(phi(g).value(), expected, 1e-9);
 }
 
 TEST_F(CgFixture, PhiIncreasesOnLoadedNodes) {
@@ -179,9 +192,9 @@ TEST_F(CgFixture, PhiIncreasesOnLoadedNodes) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  const double before = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double before = phi(g).value();
   ASSERT_TRUE(sys->commit_node_direct(9, 1, ResourceVector(50.0, 500.0), 0.0));
-  const double after = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double after = phi(g).value();
   EXPECT_GT(after, before);
 }
 
@@ -190,9 +203,9 @@ TEST_F(CgFixture, ResourcesFeasibleDetectsOverload) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.resources_feasible(*sys, sys->true_state(), 0.0));
+  EXPECT_TRUE(phi(g).has_value());
   ASSERT_TRUE(sys->commit_node_direct(9, 1, ResourceVector(95.0, 10.0), 0.0));
-  EXPECT_FALSE(g.resources_feasible(*sys, sys->true_state(), 0.0));
+  EXPECT_FALSE(phi(g).has_value());
 }
 
 TEST_F(CgFixture, QualifiedCombinesAllConstraints) {
@@ -200,8 +213,9 @@ TEST_F(CgFixture, QualifiedCombinesAllConstraints) {
   g.assign(0, c0);
   g.assign(1, c1);
   g.assign(2, c2);
-  EXPECT_TRUE(g.qualified(*sys, sys->true_state(), loose_req(), 0.0));
-  EXPECT_FALSE(g.qualified(*sys, sys->true_state(), QoSVector::from_metrics(1.0, 0.001), 0.0));
+  EXPECT_TRUE(g.qualified(*sys, sys->true_state(), loose_req(), PolicyConstraint{}, 0.0));
+  EXPECT_FALSE(g.qualified(*sys, sys->true_state(), QoSVector::from_metrics(1.0, 0.001),
+                           PolicyConstraint{}, 0.0));
 }
 
 TEST_F(CgFixture, EqualityComparesAssignments) {

@@ -1,0 +1,265 @@
+// Differential test of CompositionEvaluator against a std::map reference:
+// the per-node/per-link demand tables and φ computation that the flat
+// evaluator replaced, kept here as the reference. On seeded random
+// compositions — co-located components, branches whose virtual links share
+// overlay links, background load, and a RequestScopedView over the
+// request's own transients — feasibility must agree and the aggregates and
+// φ must be bit-identical.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <memory>
+
+#include "net/topology.h"
+#include "stream/component_graph.h"
+#include "stream/session.h"
+
+namespace acp::stream {
+namespace {
+
+// ---- Reference: std::map demand tables ------------------------------------
+
+std::map<NodeId, ResourceVector> demand_by_node(const StreamSystem& sys,
+                                                const ComponentGraph& g) {
+  const FunctionGraph& fg = g.function_graph();
+  std::map<NodeId, ResourceVector> demand;
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    demand[sys.component(g.component_at(i)).node] += fg.node(i).required;
+  }
+  return demand;
+}
+
+std::map<net::OverlayLinkIndex, double> bandwidth_by_link(const StreamSystem& sys,
+                                                          const ComponentGraph& g) {
+  const FunctionGraph& fg = g.function_graph();
+  std::map<net::OverlayLinkIndex, double> demand;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = sys.component(g.component_at(edge.from)).node;
+    const NodeId b = sys.component(g.component_at(edge.to)).node;
+    if (a == b) continue;
+    sys.mesh().for_each_virtual_link(
+        a, b, [&](net::OverlayLinkIndex l) { demand[l] += edge.required_bandwidth_kbps; });
+  }
+  return demand;
+}
+
+bool resources_feasible(const StreamSystem& sys, const ComponentGraph& g, const StateView& view,
+                        double now) {
+  for (const auto& [node, demand] : demand_by_node(sys, g)) {
+    if (!demand.fits_within(view.node_available(node, now))) return false;
+  }
+  for (const auto& [link, kbps] : bandwidth_by_link(sys, g)) {
+    if (kbps > view.link_available_kbps(link, now)) return false;
+  }
+  return true;
+}
+
+double congestion_aggregation(const StreamSystem& sys, const ComponentGraph& g,
+                              const StateView& view, double now) {
+  const FunctionGraph& fg = g.function_graph();
+  double phi = 0.0;
+  const auto node_demand = demand_by_node(sys, g);
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    const NodeId node = sys.component(g.component_at(i)).node;
+    const ResourceVector residual = view.node_available(node, now) - node_demand.at(node);
+    phi += congestion_terms(fg.node(i).required, residual);
+  }
+  const auto link_demand = bandwidth_by_link(sys, g);
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = sys.component(g.component_at(edge.from)).node;
+    const NodeId b = sys.component(g.component_at(edge.to)).node;
+    if (a == b) continue;
+    double residual = std::numeric_limits<double>::infinity();
+    sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+      residual = std::min(residual, view.link_available_kbps(l, now) - link_demand.at(l));
+    });
+    phi += congestion_term(edge.required_bandwidth_kbps, residual);
+  }
+  return phi;
+}
+
+// ---- Random worlds and compositions ---------------------------------------
+
+struct World {
+  net::Graph ip;
+  std::unique_ptr<net::OverlayMesh> mesh;
+  std::unique_ptr<StreamSystem> sys;
+  double min_link_kbps = 0.0;
+};
+
+void populate(World& w, util::Rng& rng) {
+  w.sys = std::make_unique<StreamSystem>(*w.mesh, FunctionCatalog::generate(8, rng));
+  for (NodeId n = 0; n < w.sys->node_count(); ++n) {
+    w.sys->set_node_capacity(n, ResourceVector(rng.uniform(80.0, 120.0),
+                                               rng.uniform(800.0, 1200.0)));
+  }
+  w.min_link_kbps = std::numeric_limits<double>::infinity();
+  for (net::OverlayLinkIndex l = 0; l < w.mesh->link_count(); ++l) {
+    w.min_link_kbps = std::min(w.min_link_kbps, w.mesh->link(l).capacity_kbps);
+  }
+  // Background load: direct commits on a third of the nodes and links.
+  for (NodeId n = 0; n < w.sys->node_count(); ++n) {
+    if (rng.below(3) != 0) continue;
+    w.sys->commit_node_direct(1000 + n, n,
+                              ResourceVector(rng.uniform(0.0, 60.0), rng.uniform(0.0, 600.0)),
+                              0.0);
+  }
+  for (net::OverlayLinkIndex l = 0; l < w.mesh->link_count(); ++l) {
+    if (rng.below(3) != 0) continue;
+    w.sys->link_pool(l).commit_direct(5000 + l, rng.uniform(0.0, 0.6) * w.min_link_kbps, 0.0);
+  }
+}
+
+World inet_world(std::uint64_t seed) {
+  World w;
+  util::Rng rng(seed);
+  net::TopologyConfig tc;
+  tc.node_count = 160;
+  w.ip = net::generate_power_law_topology(tc, rng);
+  net::OverlayConfig oc;
+  oc.member_count = 16;
+  w.mesh = std::make_unique<net::OverlayMesh>(w.ip, oc, rng);
+  populate(w, rng);
+  return w;
+}
+
+World torus_world(std::uint64_t seed) {
+  World w;
+  util::Rng rng(seed);
+  w.mesh = std::make_unique<net::OverlayMesh>(net::OverlayMesh::torus(5, 6, 1.0, 1000.0));
+  populate(w, rng);
+  return w;
+}
+
+/// A random chain, or a DAG of 2–3 branches between one source and one
+/// sink, with every fn node hosted on one of a few nodes so co-location and
+/// link sharing between branches are common.
+FunctionGraph random_graph(util::Rng& rng, double link_kbps) {
+  FunctionGraph fg;
+  auto demand = [&] { return ResourceVector(rng.uniform(2.0, 35.0), rng.uniform(20.0, 350.0)); };
+  auto bw = [&] { return rng.uniform(0.02, 0.35) * link_kbps; };
+  const FnNodeIndex src = fg.add_node(0, demand());
+  const std::size_t branches = 1 + static_cast<std::size_t>(rng.below(3));
+  std::vector<FnNodeIndex> tails;
+  for (std::size_t b = 0; b < branches; ++b) {
+    FnNodeIndex prev = src;
+    const std::size_t len = 1 + static_cast<std::size_t>(rng.below(3));
+    for (std::size_t i = 0; i < len; ++i) {
+      const FnNodeIndex n = fg.add_node(static_cast<FunctionId>(1 + i), demand());
+      fg.add_edge(prev, n, bw());
+      prev = n;
+    }
+    tails.push_back(prev);
+  }
+  if (branches > 1) {
+    const FnNodeIndex sink = fg.add_node(4, demand());
+    for (FnNodeIndex t : tails) fg.add_edge(t, sink, bw());
+  }
+  return fg;
+}
+
+struct Tally {
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  std::size_t colocated = 0;    ///< some node hosts two or more fn nodes
+  std::size_t shared_link = 0;  ///< some overlay link carries two or more edges
+};
+
+void check_world(World& w, std::uint64_t seed, Tally& tally) {
+  StreamSystem& sys = *w.sys;
+  util::Rng rng(seed);
+  CompositionEvaluator eval(sys);  // reused across every case, as callers do
+  for (int round = 0; round < 150; ++round) {
+    const RequestId rid = 1 + static_cast<RequestId>(round);
+    const FunctionGraph fg = random_graph(rng, w.min_link_kbps);
+    // Hosts drawn from a small pool: co-location and shared links.
+    std::vector<NodeId> pool(3 + rng.below(3));
+    for (NodeId& n : pool) n = static_cast<NodeId>(rng.below(sys.node_count()));
+    ComponentGraph g(fg);
+    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+      g.assign(i, sys.add_component(fg.node(i).function, pool[rng.below(pool.size())], {}));
+    }
+
+    // The request's own transients on some of its hosts and links (the
+    // scoped view reads them as available), plus another request's.
+    for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+      if (rng.below(2) == 0) continue;
+      const RequestId owner = rng.below(3) == 0 ? rid + 100000 : rid;
+      sys.reserve_node_transient(owner, node_tag(i), sys.component(g.component_at(i)).node,
+                                 fg.node(i).required, 0.0, 60.0);
+    }
+    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+      if (rng.below(2) == 0) continue;
+      const FnEdge& edge = fg.edge(e);
+      sys.reserve_virtual_link_transient(rid, link_tag(fg, e),
+                                         sys.component(g.component_at(edge.from)).node,
+                                         sys.component(g.component_at(edge.to)).node,
+                                         edge.required_bandwidth_kbps, 0.0, 60.0);
+    }
+
+    const auto node_ref = demand_by_node(sys, g);
+    const auto link_ref = bandwidth_by_link(sys, g);
+    if (node_ref.size() < fg.node_count()) ++tally.colocated;
+    std::size_t link_uses = 0;
+    for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+      const NodeId a = sys.component(g.component_at(fg.edge(e).from)).node;
+      const NodeId b = sys.component(g.component_at(fg.edge(e).to)).node;
+      if (a != b) link_uses += sys.mesh().virtual_link_hops(a, b);
+    }
+    if (link_ref.size() < link_uses) ++tally.shared_link;
+
+    // Aggregated demand: the same totals, bit for bit.
+    eval.aggregate(fg, g.assignment());
+    ASSERT_EQ(eval.node_demand().size(), node_ref.size());
+    for (const auto& n : eval.node_demand()) EXPECT_EQ(n.demand, node_ref.at(n.node));
+    ASSERT_EQ(eval.link_demand().size(), link_ref.size());
+    for (const auto& l : eval.link_demand()) EXPECT_EQ(l.kbps, link_ref.at(l.link));
+
+    const StreamSystem::RequestScopedView scoped(sys, rid);
+    for (const StateView* view : {&sys.true_state(), static_cast<const StateView*>(&scoped)}) {
+      const bool feasible = resources_feasible(sys, g, *view, 0.0);
+      const auto phi = eval.phi(fg, g.assignment(), *view, 0.0);
+      ASSERT_EQ(phi.has_value(), feasible) << "seed " << seed << " round " << round;
+      if (!feasible) {
+        ++tally.infeasible;
+        continue;
+      }
+      ++tally.feasible;
+      EXPECT_EQ(*phi, congestion_aggregation(sys, g, *view, 0.0))
+          << "seed " << seed << " round " << round;
+    }
+    sys.cancel_request(rid);
+    sys.cancel_request(rid + 100000);
+  }
+}
+
+TEST(CompositionEvaluatorDifferential, MatchesMapReferenceOnInet) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    World w = inet_world(seed);
+    check_world(w, seed * 31, tally);
+  }
+  EXPECT_GE(tally.feasible, 100u);
+  EXPECT_GE(tally.infeasible, 50u);
+  EXPECT_GE(tally.colocated, 100u);
+  EXPECT_GE(tally.shared_link, 50u);
+}
+
+TEST(CompositionEvaluatorDifferential, MatchesMapReferenceOnTorus) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    World w = torus_world(seed);
+    check_world(w, seed * 37, tally);
+  }
+  EXPECT_GE(tally.feasible, 100u);
+  EXPECT_GE(tally.infeasible, 50u);
+  EXPECT_GE(tally.colocated, 100u);
+  EXPECT_GE(tally.shared_link, 50u);
+}
+
+}  // namespace
+}  // namespace acp::stream

@@ -132,7 +132,10 @@ TEST_P(SeedSweep, ProbingAtFullAlphaMatchesGuidedSearchQuality) {
   // Evaluate the reference φ NOW — after the protocol commits its session
   // the system is no longer idle.
   const double expected_phi =
-      expected ? expected->congestion_aggregation(*w.sys, w.sys->true_state(), 0.0) : -1.0;
+      expected ? stream::CompositionEvaluator(*w.sys)
+                     .phi(req.graph, expected->assignment(), w.sys->true_state(), 0.0)
+                     .value()
+               : -1.0;
 
   std::optional<CompositionOutcome> out;
   w.protocol->execute(req, 1.0, PerHopPolicy::kGuided, SelectionPolicy::kBestPhi,

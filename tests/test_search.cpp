@@ -19,6 +19,14 @@ using stream::FnNodeIndex;
 using stream::QoSVector;
 using stream::ResourceVector;
 
+/// Full Eq. 2–5 evaluation against the ground truth: φ(λ), or nullopt when
+/// `g` does not qualify.
+std::optional<double> true_phi(const stream::StreamSystem& sys, const workload::Request& req,
+                               const ComponentGraph& g) {
+  return stream::CompositionEvaluator(sys).evaluate(g, req.graph.enumerate_paths(), req.qos_req,
+                                                    req.policy, sys.true_state(), 0.0);
+}
+
 struct SearchFixture : ::testing::Test {
   void SetUp() override {
     util::Rng rng(42);
@@ -76,8 +84,23 @@ struct SearchFixture : ::testing::Test {
     return req;
   }
 
-  /// Naive reference: enumerate the full candidate cross-product via
-  /// ComponentGraph::qualified / congestion_aggregation and return min-φ.
+  workload::Request three_branch_request() {
+    workload::Request req;
+    req.id = 3;
+    // 0 → {1, 2, 3} → 4: three source→sink paths, past the pairwise join.
+    req.graph.add_node(chain[0], ResourceVector(10.0, 100.0));
+    for (int i = 0; i < 3; ++i) req.graph.add_node(chain[1], ResourceVector(10.0, 100.0));
+    req.graph.add_node(chain[2], ResourceVector(10.0, 100.0));
+    for (FnNodeIndex mid = 1; mid <= 3; ++mid) {
+      req.graph.add_edge(0, mid, 100.0);
+      req.graph.add_edge(mid, 4, 100.0);
+    }
+    req.qos_req = QoSVector::from_metrics(2000.0, 0.5);
+    return req;
+  }
+
+  /// Naive reference: evaluate the full candidate cross-product and return
+  /// min-φ.
   std::optional<double> brute_force_best_phi(const workload::Request& req) {
     std::vector<const std::vector<ComponentId>*> cand_lists;
     for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) {
@@ -91,10 +114,8 @@ struct SearchFixture : ::testing::Test {
       for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) {
         g.assign(i, (*cand_lists[i])[idx[i]]);
       }
-      if (g.qualified(*sys, sys->true_state(), req.qos_req, 0.0)) {
-        const double phi = g.congestion_aggregation(*sys, sys->true_state(), 0.0);
-        if (!best || phi < *best) best = phi;
-      }
+      const auto phi = true_phi(*sys, req, g);
+      if (phi && (!best || *phi < *best)) best = phi;
       // Odometer increment.
       std::size_t d = 0;
       while (d < idx.size() && ++idx[d] == cand_lists[d]->size()) {
@@ -118,18 +139,22 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceOnPath) {
   const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0, &stats);
   ASSERT_EQ(found.has_value(), expected.has_value());
   if (found) {
-    EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
-    EXPECT_TRUE(found->qualified(*sys, sys->true_state(), req.qos_req, 0.0));
+    const auto phi = true_phi(*sys, req, *found);
+    ASSERT_TRUE(phi.has_value());
+    EXPECT_NEAR(*phi, *expected, 1e-9);
   }
 }
 
 TEST_F(SearchFixture, ExhaustiveMatchesBruteForceOnDag) {
-  const auto req = dag_request();
-  const auto expected = brute_force_best_phi(req);
-  const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0);
-  ASSERT_EQ(found.has_value(), expected.has_value());
-  if (found) {
-    EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
+  // The three-branch DAG takes exhaustive_best's >2-path fallback: full
+  // merge, then the shared min-φ selection.
+  for (const auto& req : {dag_request(), three_branch_request()}) {
+    const auto expected = brute_force_best_phi(req);
+    const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0);
+    ASSERT_EQ(found.has_value(), expected.has_value());
+    if (found) {
+      EXPECT_NEAR(true_phi(*sys, req, *found).value(), *expected, 1e-9);
+    }
   }
 }
 
@@ -140,12 +165,12 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceUnderLoad) {
     sys->commit_node_direct(100 + i, static_cast<stream::NodeId>(rng.below(sys->node_count())),
                             ResourceVector(70.0, 700.0), 0.0);
   }
-  for (const auto& req : {path_request(), dag_request()}) {
+  for (const auto& req : {path_request(), dag_request(), three_branch_request()}) {
     const auto expected = brute_force_best_phi(req);
     const auto found = exhaustive_best(*sys, req, sys->true_state(), 0.0);
     ASSERT_EQ(found.has_value(), expected.has_value());
     if (found) {
-      EXPECT_NEAR(found->congestion_aggregation(*sys, sys->true_state(), 0.0), *expected, 1e-9);
+      EXPECT_NEAR(true_phi(*sys, req, *found).value(), *expected, 1e-9);
     }
   }
 }
@@ -160,14 +185,14 @@ TEST_F(SearchFixture, GuidedNeverBeatsExhaustive) {
   const auto req = path_request();
   const auto best = exhaustive_best(*sys, req, sys->true_state(), 0.0);
   ASSERT_TRUE(best.has_value());
-  const double best_phi = best->congestion_aggregation(*sys, sys->true_state(), 0.0);
+  const double best_phi = true_phi(*sys, req, *best).value();
   for (double alpha : {0.1, 0.3, 0.7, 1.0}) {
     const auto g =
         guided_search(*sys, req, alpha, sys->true_state(), sys->true_state(), 0.0);
     if (g) {
-      const double phi = g->congestion_aggregation(*sys, sys->true_state(), 0.0);
-      EXPECT_GE(phi, best_phi - 1e-9) << "alpha=" << alpha;
-      EXPECT_TRUE(g->qualified(*sys, sys->true_state(), req.qos_req, 0.0));
+      const auto phi = true_phi(*sys, req, *g);
+      ASSERT_TRUE(phi.has_value()) << "alpha=" << alpha;
+      EXPECT_GE(*phi, best_phi - 1e-9) << "alpha=" << alpha;
     }
   }
 }
@@ -179,8 +204,7 @@ TEST_F(SearchFixture, GuidedAtFullAlphaMatchesExhaustiveOnPath) {
                                0.05, nullptr, /*beam_cap=*/100000);
   ASSERT_TRUE(best.has_value());
   ASSERT_TRUE(g.has_value());
-  EXPECT_NEAR(g->congestion_aggregation(*sys, sys->true_state(), 0.0),
-              best->congestion_aggregation(*sys, sys->true_state(), 0.0), 1e-9);
+  EXPECT_NEAR(true_phi(*sys, req, *g).value(), true_phi(*sys, req, *best).value(), 1e-9);
 }
 
 TEST_F(SearchFixture, RandomAssignmentCoversAllNodesOrFails) {
@@ -321,10 +345,10 @@ TEST(SearchOracle, GuidedFullAlphaMatchesExhaustiveOnRandomInstances) {
     }
     ++solved;
     ASSERT_TRUE(g.has_value()) << "seed " << seed;
-    const double best_phi = best->congestion_aggregation(sys, sys.true_state(), 0.0);
-    const double g_phi = g->congestion_aggregation(sys, sys.true_state(), 0.0);
-    EXPECT_NEAR(g_phi, best_phi, 1e-9) << "seed " << seed;
-    EXPECT_TRUE(g->qualified(sys, sys.true_state(), req.qos_req, 0.0)) << "seed " << seed;
+    const double best_phi = true_phi(sys, req, *best).value();
+    const auto g_phi = true_phi(sys, req, *g);
+    ASSERT_TRUE(g_phi.has_value()) << "seed " << seed;
+    EXPECT_NEAR(*g_phi, best_phi, 1e-9) << "seed " << seed;
   }
   // The generator must hit both branches or the oracle is vacuous.
   EXPECT_GE(solved, 10u);
