@@ -9,7 +9,12 @@
 // figure benches.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <chrono>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <utility>
 
 #include "bench_common.h"
 #include "core/candidate_selection.h"
@@ -165,6 +170,100 @@ void BM_WhatIfReplayStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WhatIfReplayStep);
+
+// Bare pools on a rows×cols torus: no components, every node able to host
+// a composed request's demand.
+struct TorusPools {
+  std::unique_ptr<net::OverlayMesh> mesh;
+  std::unique_ptr<stream::StreamSystem> sys;
+
+  static TorusPools& instance(std::int64_t rows, std::int64_t cols) {
+    static std::map<std::pair<std::int64_t, std::int64_t>, TorusPools> worlds;
+    TorusPools& w = worlds[{rows, cols}];
+    if (w.sys == nullptr) {
+      const auto r = static_cast<std::size_t>(rows);
+      const auto c = static_cast<std::size_t>(cols);
+      w.mesh = std::make_unique<net::OverlayMesh>(net::OverlayMesh::torus(r, c, 1.0, 1.0e6));
+      util::Rng rng(42);
+      auto catalog = stream::FunctionCatalog::generate(8, rng);
+      w.sys = std::make_unique<stream::StreamSystem>(*w.mesh, std::move(catalog));
+      for (stream::NodeId n = 0; n < w.sys->node_count(); ++n) {
+        w.sys->set_node_capacity(n, stream::ResourceVector(100.0, 1000.0));
+      }
+    }
+    return w;
+  }
+
+  /// Hosts of the k-th composed request: a five-function chain at fixed
+  /// offsets from a base node that walks the world, so the footprint (five
+  /// node pools, four virtual links of 3–5 hops) is the same at every size.
+  std::array<stream::NodeId, 5> hosts(std::uint64_t k) const {
+    static constexpr std::array<std::uint32_t, 5> kRowOffset{0, 2, 3, 6, 8};
+    static constexpr std::array<std::uint32_t, 5> kColOffset{0, 1, 4, 5, 8};
+    const std::uint32_t rows = mesh->torus_rows();
+    const std::uint32_t cols = mesh->torus_cols();
+    const std::uint64_t base = (k * 7919) % (std::uint64_t{rows} * cols);
+    std::array<stream::NodeId, 5> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const std::uint64_t r = (base / cols + kRowOffset[i]) % rows;
+      const std::uint64_t c = (base % cols + kColOffset[i]) % cols;
+      out[i] = static_cast<stream::NodeId>(r * cols + c);
+    }
+    return out;
+  }
+};
+
+constexpr double kMicroDemandKbps = 100.0;
+
+// StreamSystem::cancel_request of one composed request's transient holds —
+// the direct probe perfbench times. Only the cancel is timed.
+void BM_CancelRequest(benchmark::State& state) {
+  TorusPools& w = TorusPools::instance(state.range(0), state.range(1));
+  stream::StreamSystem& sys = *w.sys;
+  const stream::ResourceVector demand(1.0, 4.0);
+  stream::RequestId request = 0;
+  for (auto _ : state) {
+    ++request;
+    const auto hosts = w.hosts(request);
+    std::uint32_t tag = 0;
+    for (const stream::NodeId n : hosts) {
+      sys.reserve_node_transient(request, tag++, n, demand, 0.0, 60.0);
+    }
+    for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+      sys.reserve_virtual_link_transient(request, tag++, hosts[i], hosts[i + 1], kMicroDemandKbps,
+                                         0.0, 60.0);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    sys.cancel_request(request);
+    benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+}
+BENCHMARK(BM_CancelRequest)->Args({16, 20})->Args({64, 80})->Args({200, 256})->UseManualTime();
+
+// StreamSystem::release_session of one composed request's direct commits.
+// Only the release is timed.
+void BM_ReleaseSession(benchmark::State& state) {
+  TorusPools& w = TorusPools::instance(state.range(0), state.range(1));
+  stream::StreamSystem& sys = *w.sys;
+  const stream::ResourceVector demand(1.0, 4.0);
+  stream::SessionId session = 0;
+  for (auto _ : state) {
+    ++session;
+    const auto hosts = w.hosts(session);
+    for (const stream::NodeId n : hosts) sys.commit_node_direct(session, n, demand, 0.0);
+    for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
+      sys.commit_virtual_link_direct(session, hosts[i], hosts[i + 1], kMicroDemandKbps, 0.0);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    sys.release_session(session);
+    benchmark::ClobberMemory();
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+}
+BENCHMARK(BM_ReleaseSession)->Args({16, 20})->Args({64, 80})->Args({200, 256})->UseManualTime();
 
 // Console output as usual, plus per-benchmark timing kept for the report.
 class CaptureReporter : public benchmark::ConsoleReporter {

@@ -254,7 +254,14 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   util::RunningStat qualified_stat;
 
   // Requests must outlive their (possibly delayed) composition callback.
-  std::deque<workload::Request> live_requests;
+  // Decided requests are freed from the front at the next arrival, never on
+  // the composer's stack, so trial memory follows the requests in flight,
+  // not the run length.
+  struct LiveRequest {
+    workload::Request req;
+    bool decided = false;
+  };
+  std::deque<LiveRequest> live_requests;
 
   // Measurement window for message rates starts at warmup.
   counters.begin_window(warmup_s);
@@ -271,12 +278,15 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
     const double at = engine.now() + gap;
     if (at >= horizon_s) return;
     engine.schedule_at(at, [&] {
-
-      live_requests.push_back(generator.make_request(engine.now()));
-      const workload::Request& req = live_requests.back();
+      while (!live_requests.empty() && live_requests.front().decided) live_requests.pop_front();
+      LiveRequest* live = &live_requests.emplace_back();
+      live->req = generator.make_request(engine.now());
+      const workload::Request& req = live->req;
       if (config.adaptive_alpha) tuner.record_request(req);
 
-      composer->compose(req, [&, arrival = engine.now()](const core::CompositionOutcome& out) {
+      const double arrival = engine.now();
+      composer->compose(req, [&, live, arrival](const core::CompositionOutcome& out) {
+        live->decided = true;
         const bool measured = arrival >= warmup_s;
         if (measured) {
           ++result.requests;

@@ -159,6 +159,12 @@ std::size_t ReservationPool<Q>::live_transient_count(double now) const {
   return n;
 }
 
+template <typename Q>
+bool ReservationPool<Q>::holds_transients_of(RequestId request) const {
+  return std::any_of(transients_.begin(), transients_.end(),
+                     [&](const Transient& r) { return r.request == request; });
+}
+
 template class ReservationPool<ResourceVector>;
 template class ReservationPool<double>;
 

@@ -211,6 +211,9 @@ class ReservationPool {
   std::size_t live_transient_count(double now) const;
   std::size_t committed_count() const { return commits_.size(); }
 
+  /// True while any transient record of `request` remains, live or expired.
+  bool holds_transients_of(RequestId request) const;
+
  private:
   struct Transient {
     RequestId request;

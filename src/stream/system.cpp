@@ -1,6 +1,7 @@
 #include "stream/system.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "util/small_vec.h"
@@ -150,7 +151,9 @@ const BandwidthPool& StreamSystem::link_pool(net::OverlayLinkIndex l) const {
 bool StreamSystem::reserve_node_transient(RequestId request, std::uint32_t tag, NodeId node,
                                           const ResourceVector& amount, double now,
                                           double expires_at) {
-  return node_pool(node).reserve_transient(request, tag, amount, now, expires_at);
+  if (!node_pool(node).reserve_transient(request, tag, amount, now, expires_at)) return false;
+  request_footprints_[request].push_back({node, node});
+  return true;
 }
 
 bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32_t tag, NodeId a,
@@ -167,7 +170,10 @@ bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32
       ok = false;
     }
   });
-  if (ok) return true;
+  if (ok) {
+    request_footprints_[request].push_back({a, b});
+    return true;
+  }
   // Roll back partial reservations on already-done links, cancelling just
   // this tag (cancel_request would drop the request's other tags too).
   for (const net::OverlayLinkIndex l : done) link_pools_[l].cancel_request_tag(request, tag);
@@ -178,6 +184,7 @@ void StreamSystem::force_reserve_node_transient(RequestId request, std::uint32_t
                                                 const ResourceVector& amount, double now,
                                                 double expires_at) {
   node_pool(node).force_reserve_transient(request, tag, amount, now, expires_at);
+  request_footprints_[request].push_back({node, node});
 }
 
 void StreamSystem::force_reserve_virtual_link_transient(RequestId request, std::uint32_t tag,
@@ -187,11 +194,14 @@ void StreamSystem::force_reserve_virtual_link_transient(RequestId request, std::
   mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
     link_pools_[l].force_reserve_transient(request, tag, kbps, now, expires_at);
   });
+  request_footprints_[request].push_back({a, b});
 }
 
 bool StreamSystem::confirm_node(RequestId request, std::uint32_t tag, NodeId node,
                                 SessionId session, double now) {
-  return node_pool(node).confirm(request, tag, session, now);
+  if (!node_pool(node).confirm(request, tag, session, now)) return false;
+  session_footprints_[session].push_back({node, node});
+  return true;
 }
 
 bool StreamSystem::confirm_virtual_link(RequestId request, std::uint32_t tag, NodeId a, NodeId b,
@@ -201,17 +211,37 @@ bool StreamSystem::confirm_virtual_link(RequestId request, std::uint32_t tag, No
   mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
     if (ok && !link_pools_[l].confirm(request, tag, session, now)) ok = false;
   });
+  // Noted even on failure: the links confirmed before it keep their records
+  // until the caller releases the session.
+  session_footprints_[session].push_back({a, b});
   return ok;
 }
 
+template <typename F>
+void StreamSystem::for_each_pool(Footprint& footprint, F&& f) {
+  std::sort(footprint.begin(), footprint.end());
+  footprint.erase(std::unique(footprint.begin(), footprint.end()), footprint.end());
+  for (const PoolSpan& s : footprint) {
+    if (s.a == s.b) {
+      f(node_pools_[s.a]);
+    } else {
+      mesh_->for_each_virtual_link(s.a, s.b, [&](net::OverlayLinkIndex l) { f(link_pools_[l]); });
+    }
+  }
+}
+
 void StreamSystem::cancel_request(RequestId request) {
-  for (auto& p : node_pools_) p.cancel_request(request);
-  for (auto& p : link_pools_) p.cancel_request(request);
+  const auto it = request_footprints_.find(request);
+  if (it == request_footprints_.end()) return;
+  for_each_pool(it->second, [request](auto& pool) { pool.cancel_request(request); });
+  request_footprints_.erase(it);
 }
 
 bool StreamSystem::commit_node_direct(SessionId session, NodeId node, const ResourceVector& amount,
                                       double now) {
-  return node_pool(node).commit_direct(session, amount, now);
+  if (!node_pool(node).commit_direct(session, amount, now)) return false;
+  session_footprints_[session].push_back({node, node});
+  return true;
 }
 
 bool StreamSystem::commit_virtual_link_direct(SessionId session, NodeId a, NodeId b, double kbps,
@@ -227,19 +257,34 @@ bool StreamSystem::commit_virtual_link_direct(SessionId session, NodeId a, NodeI
       ok = false;
     }
   });
-  if (ok) return true;
+  if (ok) {
+    session_footprints_[session].push_back({a, b});
+    return true;
+  }
   for (const net::OverlayLinkIndex l : done) link_pools_[l].release_session_one(session, kbps);
   return false;
 }
 
 void StreamSystem::release_session(SessionId session) {
-  for (auto& p : node_pools_) p.release_session(session);
-  for (auto& p : link_pools_) p.release_session(session);
+  const auto it = session_footprints_.find(session);
+  if (it == session_footprints_.end()) return;
+  for_each_pool(it->second, [session](auto& pool) { pool.release_session(session); });
+  session_footprints_.erase(it);
 }
 
 void StreamSystem::prune_expired(double now) {
   for (auto& p : node_pools_) p.prune_expired(now);
   for (auto& p : link_pools_) p.prune_expired(now);
+  drop_settled_requests();
+}
+
+void StreamSystem::drop_settled_requests() {
+  for (auto it = request_footprints_.begin(); it != request_footprints_.end();) {
+    const RequestId request = it->first;
+    bool holds = false;
+    for_each_pool(it->second, [&](const auto& p) { holds |= p.holds_transients_of(request); });
+    it = holds ? std::next(it) : request_footprints_.erase(it);
+  }
 }
 
 std::size_t StreamSystem::reclaim_node_transients(NodeId node, double now) {
@@ -254,6 +299,7 @@ std::size_t StreamSystem::reclaim_transients_older_than(double age_s, double now
   std::size_t reclaimed = 0;
   for (auto& p : node_pools_) reclaimed += p.cancel_transients_older_than(age_s, now);
   for (auto& p : link_pools_) reclaimed += p.cancel_transients_older_than(age_s, now);
+  drop_settled_requests();
   return reclaimed;
 }
 

@@ -5,9 +5,21 @@
 // control — transient reservations during probing, commits at session setup,
 // releases at teardown — goes through this class, so Eq. 4/5 residual
 // non-negativity is enforced in exactly one place.
+//
+// Footprints: every call here that can create a transient record notes the
+// pools it touched under the request, and every call that can create a
+// commit record notes them under the session. cancel_request and
+// release_session visit only those pools, so their cost follows what the
+// request or session touched, not the world size. A footprint may over-list
+// pools (a rollback, a crash reclamation or a direct
+// ReservationPool::release_session_one can empty a listed pool) but never
+// misses one, which holds as long as records are created only through this
+// class.
 #pragma once
 
+#include <compare>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "net/overlay.h"
@@ -107,7 +119,8 @@ class StreamSystem {
   bool confirm_virtual_link(RequestId request, std::uint32_t tag, NodeId a, NodeId b,
                             SessionId session, double now);
 
-  /// Drops every transient reservation belonging to `request`, system-wide.
+  /// Drops every transient reservation belonging to `request`, system-wide,
+  /// and forgets the request's footprint.
   void cancel_request(RequestId request);
 
   /// Direct commits without probing (used by non-probing baselines).
@@ -115,10 +128,12 @@ class StreamSystem {
                           double now);
   bool commit_virtual_link_direct(SessionId session, NodeId a, NodeId b, double kbps, double now);
 
-  /// Releases everything owned by `session` on all nodes and links.
+  /// Releases everything owned by `session` on all nodes and links, and
+  /// forgets the session's footprint.
   void release_session(SessionId session);
 
-  /// Drops expired transient records everywhere (housekeeping).
+  /// Drops expired transient records everywhere (housekeeping), then the
+  /// footprints of requests that no longer hold any record.
   void prune_expired(double now);
 
   // ---- Failure recovery (used by acp::fault) ------------------------------
@@ -133,8 +148,9 @@ class StreamSystem {
 
   /// Leak sweep: drops live transients older than `age_s` on every pool. A
   /// legitimate probe hold is confirmed or cancelled within seconds; older
-  /// records are orphans (e.g. from a node that crashed mid-probe). Returns
-  /// the number reclaimed.
+  /// records are orphans (e.g. from a node that crashed mid-probe). Then
+  /// drops the footprints of requests that no longer hold any record.
+  /// Returns the number reclaimed.
   std::size_t reclaim_transients_older_than(double age_s, double now);
 
   /// Releases one direct-committed `kbps` record of `session` on every link
@@ -142,8 +158,35 @@ class StreamSystem {
   /// no-op. Returns false if any link had no matching record.
   bool release_virtual_link_direct(SessionId session, NodeId a, NodeId b, double kbps);
 
+  // ---- Footprint index (read-only) ----------------------------------------
+
+  /// Requests that may still hold transient records. Zero once every
+  /// request is decided and every orphaned hold has been swept.
+  std::size_t request_footprint_count() const { return request_footprints_.size(); }
+  /// Sessions that may still hold commit records. Zero once every session
+  /// is closed.
+  std::size_t session_footprint_count() const { return session_footprints_.size(); }
+
  private:
   class TrueView;
+
+  /// Pools one record-creating call touched, as endpoints: node `a`'s pool
+  /// when a == b, else every overlay link of the virtual link a→b (re-walked
+  /// on use; virtual-link paths are static).
+  struct PoolSpan {
+    NodeId a = 0;
+    NodeId b = 0;
+    auto operator<=>(const PoolSpan&) const = default;
+  };
+  using Footprint = std::vector<PoolSpan>;
+
+  /// Calls `f(pool)` on every pool of `footprint`, each span once (sorts and
+  /// dedupes `footprint` in place).
+  template <typename F>
+  void for_each_pool(Footprint& footprint, F&& f);
+  /// Forgets the footprints of requests whose listed pools hold no record
+  /// of them any more (after a world-wide sweep).
+  void drop_settled_requests();
 
   const net::OverlayMesh* mesh_;
   FunctionCatalog catalog_;
@@ -153,6 +196,8 @@ class StreamSystem {
   std::vector<std::vector<ComponentId>> by_node_;
   std::vector<NodePool> node_pools_;
   std::vector<BandwidthPool> link_pools_;
+  std::unordered_map<RequestId, Footprint> request_footprints_;
+  std::unordered_map<SessionId, Footprint> session_footprints_;
   std::unique_ptr<TrueView> true_view_;
 };
 

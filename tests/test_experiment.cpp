@@ -4,7 +4,10 @@
 
 #include "exp/experiment.h"
 
+#include <algorithm>
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "core/probing_composers.h"
 
@@ -160,10 +163,25 @@ TEST(Experiment, CandidateDensityScalesWithNodeCount) {
   EXPECT_EQ(dep_large.sys->component_count(), 2 * dep_small.sys->component_count());
 }
 
-// Conservation: after a full run plus teardown horizon, every pool drains
-// back to full capacity (no leaked commitments or transients).
-TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
-  const auto sys_cfg = small_system();
+// Conservation: no pool holds a transient record of a request once its
+// outcome is known, and after a full run plus teardown horizon every pool
+// drains back to full capacity with no live transient and no commit record
+// left, and the system's footprint index is empty (no leaked commitments,
+// transients or index entries). Read at the drain time itself: a leaked
+// transient would have expired by any far-future read. Runs on an Inet
+// world and a small torus, fault-free and under node crashes, probe loss,
+// scripted transient leaks and the injector's reclamation sweeps.
+bool holds_any_transient(const stream::StreamSystem& sys, stream::RequestId request) {
+  for (stream::NodeId n = 0; n < sys.node_count(); ++n) {
+    if (sys.node_pool(n).holds_transients_of(request)) return true;
+  }
+  for (net::OverlayLinkIndex l = 0; l < sys.mesh().link_count(); ++l) {
+    if (sys.link_pool(l).holds_transients_of(request)) return true;
+  }
+  return false;
+}
+
+void check_conservation(const SystemConfig& sys_cfg, bool faults) {
   const auto fabric = build_fabric(sys_cfg);
   Deployment dep = build_deployment(fabric, sys_cfg);
   auto& sys = *dep.sys;
@@ -178,6 +196,30 @@ TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
                                  util::Rng(3));
   core::AcpComposer acp(protocol, 0.5);
 
+  // Leaked holds use the injector's default hour-long TTL, so only the age
+  // sweep (every sweep_interval_s, for holds older than
+  // max_transient_age_s) can reclaim them before the drain.
+  const fault::RecoveryConfig recovery;
+  const std::vector<double> leak_times{5.0, 30.0};
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (faults) {
+    fault::FaultPlan plan;
+    plan.node_crash_rate_per_min = 2.0;
+    plan.node_downtime_s = 20.0;
+    plan.probe_loss_prob = 0.05;
+    for (const double at : leak_times) {
+      fault::FaultEvent leak;
+      leak.at_s = at;
+      leak.kind = fault::FaultKind::kTransientLeak;
+      leak.count = 3;
+      plan.events.push_back(leak);
+    }
+    injector = std::make_unique<fault::FaultInjector>(sys, engine, util::Rng(5), plan, recovery,
+                                                      &counters);
+    protocol.set_fault_injector(injector.get());
+    injector->start();
+  }
+
   workload::RequestGenerator gen(sys.catalog(), dep.templates, {}, {{0.0, 30.0}},
                                  fabric.ip.node_count(), util::Rng(4));
   std::deque<workload::Request> live;
@@ -190,26 +232,59 @@ TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
   for (std::size_t i = 0; i < live.size(); ++i) {
     const workload::Request* rp = &live[i];  // deque elements are stable
     engine.schedule_at(rp->arrival_time, [&, rp] {
-      acp.compose(*rp, [&](const core::CompositionOutcome& out) {
+      acp.compose(*rp, [&, rp](const core::CompositionOutcome& out) {
+        EXPECT_FALSE(holds_any_transient(sys, rp->id)) << "request " << rp->id;
         if (out.success()) open_sessions.push_back(out.session);
       });
     });
   }
   // run_until, not run(): the state manager's periodic ticks self-reschedule
-  // forever.
-  engine.run_until(t + 120.0);
+  // forever. Past the last probe deadline, and past the sweep that finds
+  // the last leak older than max_transient_age_s.
+  double drain = t + 120.0;
+  for (const double at : leak_times) {
+    drain = std::max(drain, at + recovery.max_transient_age_s + 2.0 * recovery.sweep_interval_s);
+  }
+  engine.run_until(drain);
   EXPECT_FALSE(open_sessions.empty());
+  if (faults) {
+    EXPECT_GT(injector->faults_injected(), 0u);
+    EXPECT_GT(injector->transients_reclaimed(), 0u);
+  }
   for (auto sid : open_sessions) sessions.close(sid);
 
-  const double end = engine.now() + 1e6;  // far future: transients expired
+  const double now = engine.now();
   for (stream::NodeId n = 0; n < sys.node_count(); ++n) {
-    const auto avail = sys.node_pool(n).available(end);
-    EXPECT_NEAR(avail.cpu(), sys.node_pool(n).capacity().cpu(), 1e-9) << "node " << n;
-    EXPECT_NEAR(avail.memory_mb(), sys.node_pool(n).capacity().memory_mb(), 1e-9);
+    const auto& pool = sys.node_pool(n);
+    EXPECT_EQ(pool.live_transient_count(now), 0u) << "node " << n;
+    EXPECT_EQ(pool.committed_count(), 0u) << "node " << n;
+    const auto avail = pool.available(now);
+    EXPECT_NEAR(avail.cpu(), pool.capacity().cpu(), 1e-9) << "node " << n;
+    EXPECT_NEAR(avail.memory_mb(), pool.capacity().memory_mb(), 1e-9) << "node " << n;
   }
   for (net::OverlayLinkIndex l = 0; l < sys.mesh().link_count(); ++l) {
-    EXPECT_NEAR(sys.link_pool(l).available(end), sys.link_pool(l).capacity(), 1e-9)
-        << "link " << l;
+    const auto& pool = sys.link_pool(l);
+    EXPECT_EQ(pool.live_transient_count(now), 0u) << "link " << l;
+    EXPECT_EQ(pool.committed_count(), 0u) << "link " << l;
+    EXPECT_NEAR(pool.available(now), pool.capacity(), 1e-9) << "link " << l;
+  }
+  EXPECT_EQ(sys.request_footprint_count(), 0u);
+  EXPECT_EQ(sys.session_footprint_count(), 0u);
+}
+
+TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
+  auto torus = small_system();
+  torus.torus_rows = 8;
+  torus.torus_cols = 10;
+  for (const bool faults : {false, true}) {
+    {
+      SCOPED_TRACE(faults ? "inet, faults" : "inet, no faults");
+      check_conservation(small_system(), faults);
+    }
+    {
+      SCOPED_TRACE(faults ? "torus, faults" : "torus, no faults");
+      check_conservation(torus, faults);
+    }
   }
 }
 
