@@ -14,7 +14,9 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/candidate_selection.h"
@@ -30,29 +32,60 @@ namespace {
 
 using namespace acp;
 
-// Shared fixture world, built once.
+// Shared fixture worlds, each built once: the paper-scale 200-node Inet
+// world, and fig7_xl --quick's 64×80 torus with 1000 functions, whose
+// virtual links run ~34 overlay links instead of 2–4.
 struct World {
   exp::SystemConfig cfg;
   exp::Fabric fabric;
   exp::Deployment dep;
   workload::Request request;
 
-  World() {
+  explicit World(bool torus) {
     cfg.seed = 42;
-    cfg.topology.node_count = 1200;
-    cfg.overlay.member_count = 200;
+    if (torus) {
+      cfg.torus_rows = 64;
+      cfg.torus_cols = 80;
+      cfg.torus_link_delay_ms = 1.0;
+      cfg.function_count = 1000;
+    } else {
+      cfg.topology.node_count = 1200;
+      cfg.overlay.member_count = 200;
+    }
     fabric = exp::build_fabric(cfg);
     dep = exp::build_deployment(fabric, cfg);
     util::Rng rng(7);
-    workload::RequestGenerator gen(dep.sys->catalog(), dep.templates, {}, {{0.0, 60.0}},
-                                   fabric.ip.node_count(), rng);
-    request = gen.make_request(0.0);
+    gen_ = std::make_unique<workload::RequestGenerator>(
+        dep.sys->catalog(), dep.templates, workload::WorkloadConfig{},
+        std::vector<workload::RateStep>{{0.0, 60.0}}, fabric.ip.node_count(), rng);
+    request = gen_->make_request(0.0);
   }
 
-  static World& instance() {
-    static World w;
+  static World& instance(bool torus = false) {
+    if (torus) {
+      static World w(true);
+      return w;
+    }
+    static World w(false);
     return w;
   }
+
+  /// A feasible composition to time: the guided (α = 0.3) composition of
+  /// the first generated request that has one.
+  const stream::ComponentGraph& composed() {
+    const auto& sys = *dep.sys;
+    while (!composed_) {
+      composed_request_ = gen_->make_request(0.0);
+      composed_ = core::guided_search(sys, *composed_request_, 0.3, sys.true_state(),
+                                      sys.true_state(), 0.0);
+    }
+    return *composed_;
+  }
+
+ private:
+  std::unique_ptr<workload::RequestGenerator> gen_;
+  std::optional<workload::Request> composed_request_;  ///< composed_'s graph lives here
+  std::optional<stream::ComponentGraph> composed_;
 };
 
 void BM_TopologyGenerate(benchmark::State& state) {
@@ -110,20 +143,32 @@ void BM_CandidateFilterAndRank(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateFilterAndRank);
 
+// CompositionEvaluator::phi of one feasible composition: demand
+// aggregation, the Eq. 4–5 checks and φ.
 void BM_PhiEvaluation(benchmark::State& state) {
-  auto& w = World::instance();
+  auto& w = World::instance(state.range(0) != 0);
   auto& sys = *w.dep.sys;
-  const auto best = core::exhaustive_best(sys, w.request, sys.true_state(), 0.0);
-  if (!best) {
-    state.SkipWithError("no feasible composition in fixture");
-    return;
-  }
+  const stream::ComponentGraph& g = w.composed();
   stream::CompositionEvaluator eval(sys);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.phi(w.request.graph, best->assignment(), sys.true_state(), 0.0));
+    benchmark::DoNotOptimize(eval.phi(g.function_graph(), g.assignment(), sys.true_state(), 0.0));
   }
 }
-BENCHMARK(BM_PhiEvaluation);
+BENCHMARK(BM_PhiEvaluation)->ArgName("torus")->Arg(0)->Arg(1);
+
+// One virtual link's accumulated QoS, as a per-hop Eq. 6 check reads it.
+void BM_VirtualLinkQoS(benchmark::State& state) {
+  auto& w = World::instance(state.range(0) != 0);
+  const auto& sys = *w.dep.sys;
+  const auto n = sys.node_count();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sys.virtual_link_qos(static_cast<stream::NodeId>(i % n),
+                                                  static_cast<stream::NodeId>((i * 7 + 3) % n)));
+    ++i;
+  }
+}
+BENCHMARK(BM_VirtualLinkQoS)->ArgName("torus")->Arg(0)->Arg(1);
 
 void BM_ExhaustiveSearch(benchmark::State& state) {
   auto& w = World::instance();

@@ -5,24 +5,11 @@
 
 namespace acp::core {
 
-namespace {
-
-/// QoS of the virtual link from the hop's current node to the candidate's
-/// node (zero when there is no upstream component yet).
-stream::QoSVector upstream_link_qos(const HopContext& ctx, const stream::StateView& view,
-                                    const stream::Component& cand) {
-  if (!ctx.has_upstream) return {};
-  return view.virtual_link_qos(ctx.sys->mesh(), ctx.current_node, cand.node, ctx.now);
-}
-
-}  // namespace
-
-double risk_function(const HopContext& ctx, const stream::StateView& view,
-                     stream::ComponentId candidate) {
+double risk_function(const HopContext& ctx, stream::ComponentId candidate) {
   const stream::Component& cand = ctx.sys->component(candidate);
   stream::QoSVector total = ctx.accumulated;
-  total += view.component_qos(candidate, ctx.now);
-  total += upstream_link_qos(ctx, view, cand);
+  total += cand.qos;
+  if (ctx.has_upstream) total += ctx.sys->virtual_link_qos(ctx.current_node, cand.node);
   return total.max_ratio(ctx.req->qos_req);
 }
 

@@ -11,9 +11,10 @@
 //      near-ties (|ΔD| ≤ eps) by the congestion function W(c) (Eq. 10);
 //   3. keep the best M.
 //
-// Rankings read whatever StateView the algorithm is entitled to — ACP uses
-// the coarse global state, making this exactly the paper's "select good
-// candidates under the guidance of the coarse-grain global state".
+// Availability checks and W(c) read whatever StateView the algorithm is
+// entitled to — ACP uses the coarse global state, making this exactly the
+// paper's "select good candidates under the guidance of the coarse-grain
+// global state". QoS (Eq. 6, D(c)) is static and read from the system.
 #pragma once
 
 #include <algorithm>
@@ -49,9 +50,9 @@ struct HopContext {
 };
 
 /// Eq. 9 — risk: max over QoS dims of (accumulated + candidate + link) /
-/// requirement. Lower is better; > 1 means the bound is already blown.
-double risk_function(const HopContext& ctx, const stream::StateView& view,
-                     stream::ComponentId candidate);
+/// requirement. Lower is better; > 1 means the bound is already blown. QoS
+/// is static, so no view is involved.
+double risk_function(const HopContext& ctx, stream::ComponentId candidate);
 
 /// Eq. 10 — congestion: Σ_k r_k/(rr_k + r_k) + b/(rb + b) for the candidate
 /// placement, on `view`'s (possibly coarse) availability. Lower is better.
@@ -63,7 +64,7 @@ double congestion_function(const HopContext& ctx, const stream::StateView& view,
 struct HopFilterStats {
   std::size_t policy = 0;             ///< security/license constraint
   std::size_t rate_incompatible = 0;  ///< stream-rate mismatch with upstream
-  std::size_t qos_bound = 0;          ///< Eq. 6 violated on the view
+  std::size_t qos_bound = 0;          ///< Eq. 6 violated
   std::size_t node_resources = 0;     ///< Eq. 7 violated
   std::size_t link_bandwidth = 0;     ///< Eq. 8 violated
 
@@ -166,10 +167,8 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
 
     // Eq. 6: QoS accumulation must stay within the requirement.
     stream::QoSVector total = ctx.accumulated;
-    total += view.component_qos(c, ctx.now);
-    if (ctx.has_upstream) {
-      total += view.virtual_link_qos(ctx.sys->mesh(), ctx.current_node, cand.node, ctx.now);
-    }
+    total += cand.qos;
+    if (ctx.has_upstream) total += ctx.sys->virtual_link_qos(ctx.current_node, cand.node);
     if (!total.satisfies(ctx.req->qos_req)) {
       ++local.qos_bound;
       continue;
@@ -207,7 +206,7 @@ void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec&
   scored.reserve(qualified.size());
   for (stream::ComponentId c : qualified) {
     scored.push_back(
-        ScoredCandidate{c, risk_function(ctx, view, c), congestion_function(ctx, view, c)});
+        ScoredCandidate{c, risk_function(ctx, c), congestion_function(ctx, view, c)});
   }
   std::sort(scored.begin(), scored.end(), [&](const ScoredCandidate& a, const ScoredCandidate& b) {
     switch (policy) {

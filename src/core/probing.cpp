@@ -504,11 +504,8 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     const stream::Component& cand = sys_->component(c);
     Probe child = probe;
     child.components.push_back(c);
-    child.accumulated += sys_->true_state().component_qos(c, now);
-    if (ctx.has_upstream) {
-      child.accumulated +=
-          sys_->true_state().virtual_link_qos(sys_->mesh(), probe.at, cand.node, now);
-    }
+    child.accumulated += cand.qos;
+    if (ctx.has_upstream) child.accumulated += sys_->virtual_link_qos(probe.at, cand.node);
     child.at = cand.node;
     child.id = new_probe_id(*coord);
     child.parent = probe.id;

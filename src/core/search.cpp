@@ -60,11 +60,9 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
       for (ComponentId c : qualified) {
         PathAssignment ext = prefix;
         ext.components.push_back(c);
-        ext.accumulated += view.component_qos(c, now);
-        if (ctx.has_upstream) {
-          ext.accumulated += view.virtual_link_qos(sys.mesh(), ctx.current_node,
-                                                   sys.component(c).node, now);
-        }
+        const stream::Component& comp = sys.component(c);
+        ext.accumulated += comp.qos;
+        if (ctx.has_upstream) ext.accumulated += sys.virtual_link_qos(ctx.current_node, comp.node);
         next.push_back(std::move(ext));
         if (cfg.beam_cap > 0 && next.size() >= cfg.beam_cap) break;
       }

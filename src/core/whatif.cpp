@@ -16,14 +16,6 @@ double WhatIfView::link_available_kbps(net::OverlayLinkIndex l, double now) cons
   return avail;
 }
 
-stream::QoSVector WhatIfView::component_qos(stream::ComponentId c, double now) const {
-  return base_->component_qos(c, now);
-}
-
-stream::QoSVector WhatIfView::link_qos(net::OverlayLinkIndex l, double now) const {
-  return base_->link_qos(l, now);
-}
-
 void WhatIfView::take_node(stream::NodeId node, const stream::ResourceVector& amount) {
   node_taken_[node] += amount;
 }
@@ -34,6 +26,8 @@ void WhatIfView::apply_composition(const stream::StreamSystem& sys,
                                    const stream::ComponentGraph& cg) {
   stream::CompositionEvaluator demand(sys);
   demand.aggregate(cg.function_graph(), cg.assignment());
+  // Each node and link appears once, so one add per key: the lists' order
+  // (first use) does not reach the sums.
   for (const auto& n : demand.node_demand()) take_node(n.node, n.demand);
   for (const auto& l : demand.link_demand()) take_link(l.link, l.kbps);
 }

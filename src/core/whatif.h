@@ -22,8 +22,6 @@ class WhatIfView final : public stream::StateView {
 
   stream::ResourceVector node_available(stream::NodeId node, double now) const override;
   double link_available_kbps(net::OverlayLinkIndex l, double now) const override;
-  stream::QoSVector component_qos(stream::ComponentId c, double now) const override;
-  stream::QoSVector link_qos(net::OverlayLinkIndex l, double now) const override;
 
   /// Hypothetically allocates `amount` on `node` (accumulates).
   void take_node(stream::NodeId node, const stream::ResourceVector& amount);

@@ -75,16 +75,23 @@ OverlayMesh::OverlayMesh(const Graph& ip, const OverlayConfig& config, util::Rng
   }
 
   // 5. Overlay all-pairs routing (one Dijkstra per member over the mesh),
-  //    then materialize every pair's path once — composition hot paths walk
-  //    virtual links constantly.
+  //    then materialize every pair's path and its QoS sum once — composition
+  //    hot paths walk virtual links constantly.
   overlay_routes_ = std::make_unique<RoutingTable>(mesh_);
   pair_paths_.resize(n * n);
+  pair_qos_.resize(n * n);
   for (OverlayNodeIndex a = 0; a < n; ++a) {
     for (OverlayNodeIndex b = 0; b < n; ++b) {
       if (a == b) continue;
       auto edges = overlay_routes_->path_edges(a, b);
       ACP_ASSERT_MSG(!edges.empty(), "overlay mesh must be connected");
-      pair_paths_[static_cast<std::size_t>(a) * n + b] = {edges.begin(), edges.end()};
+      const std::size_t pair = static_cast<std::size_t>(a) * n + b;
+      pair_paths_[pair] = {edges.begin(), edges.end()};
+      PathQoS& q = pair_qos_[pair];
+      for (const OverlayLinkIndex l : pair_paths_[pair]) {
+        q.delay_ms += links_[l].delay_ms;
+        q.additive_loss += links_[l].additive_loss;
+      }
     }
   }
 }
@@ -126,6 +133,13 @@ OverlayMesh OverlayMesh::torus(std::size_t rows, std::size_t cols, double link_d
       add(here, r * m.cols_ + (c + 1) % m.cols_);        // right
       add(here, ((r + 1) % m.rows_) * m.cols_ + c);      // down
     }
+  }
+  // Every link has the same QoS, so a walk's sum depends only on its hops.
+  const OverlayLink& link = m.links_.front();
+  m.torus_hop_qos_.resize(m.rows_ / 2 + m.cols_ / 2 + 1);  // 0..diameter hops
+  for (std::size_t k = 1; k < m.torus_hop_qos_.size(); ++k) {
+    const PathQoS& prev = m.torus_hop_qos_[k - 1];
+    m.torus_hop_qos_[k] = {prev.delay_ms + link.delay_ms, prev.additive_loss + link.additive_loss};
   }
   return m;
 }
@@ -184,6 +198,12 @@ double OverlayMesh::virtual_link_delay(OverlayNodeIndex a, OverlayNodeIndex b) c
   if (a == b) return 0.0;  // co-located components: 0 network delay
   if (torus_) return torus_distance(a, b) * torus_link_delay_ms_;
   return overlay_routes_->distance(a, b);
+}
+
+PathQoS OverlayMesh::virtual_link_qos(OverlayNodeIndex a, OverlayNodeIndex b) const {
+  ACP_REQUIRE(a < members_.size() && b < members_.size());
+  if (torus_) return torus_hop_qos_[torus_distance(a, b)];
+  return pair_qos_[static_cast<std::size_t>(a) * members_.size() + b];
 }
 
 double OverlayMesh::min_link_delay_ms() const {

@@ -27,6 +27,13 @@ using OverlayLinkIndex = std::uint32_t;
 
 inline constexpr OverlayLinkIndex kNoOverlayLink = static_cast<OverlayLinkIndex>(-1);
 
+/// Accumulated QoS of a virtual link in the additive domain: the sum of its
+/// overlay links' delay and -ln(1 - loss), added in walk order.
+struct PathQoS {
+  double delay_ms = 0.0;
+  double additive_loss = 0.0;
+};
+
 struct OverlayLink {
   OverlayNodeIndex a = 0;
   OverlayNodeIndex b = 0;
@@ -112,6 +119,13 @@ class OverlayMesh {
   /// Sum of link delays along the virtual link a→b (0 when a == b).
   double virtual_link_delay(OverlayNodeIndex a, OverlayNodeIndex b) const;
 
+  /// QoS of the virtual link a→b in O(1), zero when a == b. Bit-identical to
+  /// starting from zero and adding each link's (delay, additive loss) along
+  /// for_each_virtual_link: link QoS is fixed at construction, so the sums
+  /// are precomputed — per hop count on a torus (every link has the same
+  /// QoS), per pair beside the cached paths on paper-scale meshes.
+  PathQoS virtual_link_qos(OverlayNodeIndex a, OverlayNodeIndex b) const;
+
   /// Minimum single-link delay (ms) over every overlay link — the
   /// conservative PDES lookahead bound: no message between distinct nodes
   /// can take effect sooner than this after it is sent, so it lower-bounds
@@ -192,12 +206,17 @@ class OverlayMesh {
   /// Per-pair cached paths, row-major (a * node_count + b). Empty in torus
   /// mode — O(N²) tables are exactly what the torus exists to avoid.
   std::vector<std::vector<OverlayLinkIndex>> pair_paths_;
+  /// Walk-order QoS sum of each cached path, row-major like pair_paths_.
+  std::vector<PathQoS> pair_qos_;
 
   // Torus mode (XL fabric): geometry instead of tables.
   bool torus_ = false;
   std::uint32_t rows_ = 0;
   std::uint32_t cols_ = 0;
   double torus_link_delay_ms_ = 0.0;
+  /// QoS of a k-hop walk, k = 0..diameter, built by the walk's repeated add
+  /// (t[k] = t[k-1] + link QoS, never k * delay, which rounds differently).
+  std::vector<PathQoS> torus_hop_qos_;
 };
 
 }  // namespace acp::net

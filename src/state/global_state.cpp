@@ -12,25 +12,14 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
 
   stream::ResourceVector node_available(stream::NodeId node, double /*now*/) const override {
     ACP_REQUIRE(node < m_.nodes_.size());
-    m_.observe_read_staleness(m_.nodes_.updated_at(node), obs_, gauge_);
+    if (obs_ != nullptr) m_.observe_read_staleness(m_.nodes_.updated_at(node), *obs_, gauge_);
     return m_.nodes_.available(node);
   }
 
   double link_available_kbps(net::OverlayLinkIndex l, double /*now*/) const override {
     ACP_REQUIRE(l < m_.links_.size());
-    m_.observe_read_staleness(m_.links_.published_at(), obs_, gauge_);
+    if (obs_ != nullptr) m_.observe_read_staleness(m_.links_.published_at(), *obs_, gauge_);
     return m_.links_.published(l);
-  }
-
-  stream::QoSVector component_qos(stream::ComponentId c, double /*now*/) const override {
-    // Component QoS profiles are static in the simulated system, so the
-    // coarse copy is exact; the update path still exists for resources.
-    return m_.sys_->component(c).qos;
-  }
-
-  stream::QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = m_.sys_->mesh().link(l);
-    return stream::QoSVector::from_additive(link.delay_ms, link.additive_loss);
   }
 
  private:
@@ -55,14 +44,11 @@ GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Eng
   view_ = std::make_unique<CoarseView>(*this, obs_, /*gauge=*/true);
 }
 
-void GlobalStateManager::observe_read_staleness(double updated_at, obs::Observability* obs,
+void GlobalStateManager::observe_read_staleness(double updated_at, obs::Observability& obs,
                                                 bool gauge) const {
-  if (obs == nullptr) return;
   const double age = engine_->now() - updated_at;
-  obs->metrics
-      .histogram(obs::metric::kStateReadStaleness, obs::duration_bounds_s())
-      .observe(age);
-  if (gauge) obs->metrics.gauge(obs::metric::kStateStalenessAge).set(age);
+  obs.metrics.histogram(obs::metric::kStateReadStaleness, obs::duration_bounds_s()).observe(age);
+  if (gauge) obs.metrics.gauge(obs::metric::kStateStalenessAge).set(age);
 }
 
 std::unique_ptr<stream::StateView> GlobalStateManager::make_shard_view(

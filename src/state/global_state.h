@@ -6,9 +6,10 @@
 // value) — insignificant variations are filtered out. Overlay-link states
 // flow to a rotating *aggregation node*, which periodically publishes them
 // so virtual-link (per-pair) properties can be derived; all other nodes
-// query the published copy.
+// query the published copy. QoS is static in the simulated system, so it
+// has no coarse copy (StreamSystem serves it).
 //
-// The resulting CoarseStateView is what ACP's candidate selection consults:
+// The resulting CoarseView is what ACP's candidate selection consults:
 // cheap to query, possibly stale — precise state comes from probes.
 #pragma once
 
@@ -95,8 +96,8 @@ class GlobalStateManager {
   void schedule_check();
   void schedule_publish();
   /// Feeds one coarse read's staleness into `obs`'s histogram (and gauge,
-  /// when the reading view carries it).
-  void observe_read_staleness(double updated_at, obs::Observability* obs, bool gauge) const;
+  /// when the reading view carries it). Views call it only when attached.
+  void observe_read_staleness(double updated_at, obs::Observability& obs, bool gauge) const;
 
   const stream::StreamSystem* sys_;
   sim::Engine* engine_;

@@ -26,15 +26,6 @@ class LocalStateManager::LocalView final : public stream::StateView {
     return m_.cached_link_avail_[l];
   }
 
-  stream::QoSVector component_qos(stream::ComponentId c, double /*now*/) const override {
-    return m_.sys_->component(c).qos;
-  }
-
-  stream::QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = m_.sys_->mesh().link(l);
-    return stream::QoSVector::from_additive(link.delay_ms, link.additive_loss);
-  }
-
  private:
   const LocalStateManager& m_;
   stream::NodeId vantage_;

@@ -1,6 +1,7 @@
 #include "stream/component_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -46,15 +47,15 @@ bool ComponentGraph::functions_match(const StreamSystem& sys) const {
   return true;
 }
 
-QoSVector ComponentGraph::path_qos(const StreamSystem& sys, const StateView& view,
-                                   const std::vector<FnNodeIndex>& path, double now) const {
+QoSVector ComponentGraph::path_qos(const StreamSystem& sys,
+                                   const std::vector<FnNodeIndex>& path) const {
   QoSVector q;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const ComponentId c = component_at(path[i]);
-    q += view.component_qos(c, now);
+    q += sys.component(c).qos;
     if (i + 1 < path.size()) {
       const ComponentId next = component_at(path[i + 1]);
-      q += view.virtual_link_qos(sys.mesh(), sys.component(c).node, sys.component(next).node, now);
+      q += sys.virtual_link_qos(sys.component(c).node, sys.component(next).node);
     }
   }
   return q;
@@ -117,7 +118,7 @@ std::optional<double> CompositionEvaluator::evaluate(const ComponentGraph& cg,
     return std::nullopt;
   }
   for (const auto& path : paths) {
-    if (!cg.path_qos(*sys_, view, path, now).satisfies(qos_req)) return std::nullopt;
+    if (!cg.path_qos(*sys_, path).satisfies(qos_req)) return std::nullopt;
   }
   return phi(cg.function_graph(), cg.assignment(), view, now);
 }
@@ -138,33 +139,45 @@ void CompositionEvaluator::aggregate(const FunctionGraph& fg,
     fn_slot_[i] = slot;
   }
 
-  // Link demand: one use per (edge, walk step), in that order. Sorting the
-  // (link, position) keys groups each link's uses and keeps them in
-  // position order, so every run sums in (edge, walk) order.
-  uses_.clear();
-  use_kbps_.clear();
+  // Link demand: one use per (edge, walk step), in that order; a
+  // co-located edge has none. use_slot_ first collects each use's link, then
+  // the table replaces it by the link's slot in links_. A link's first use
+  // appends its slot, and every use adds into that slot, so each link sums
+  // in (edge, walk) order.
+  use_slot_.clear();
   edge_end_.resize(fg.edge_count());
   for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-    const FnEdge& edge = fg.edge(e);
-    const NodeId a = sys_->component(assignment[edge.from]).node;
-    const NodeId b = sys_->component(assignment[edge.to]).node;
-    if (a != b) {  // co-located: no bandwidth consumed
-      sys_->mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-        uses_.push_back((std::uint64_t{l} << 32) | uses_.size());
-        use_kbps_.push_back(edge.required_bandwidth_kbps);
-      });
+    const NodeId a = sys_->component(assignment[fg.edge(e).from]).node;
+    const NodeId b = sys_->component(assignment[fg.edge(e).to]).node;
+    if (a != b) {
+      sys_->mesh().for_each_virtual_link(a, b,
+                                         [&](net::OverlayLinkIndex l) { use_slot_.push_back(l); });
     }
-    edge_end_[e] = static_cast<std::uint32_t>(uses_.size());
+    edge_end_[e] = static_cast<std::uint32_t>(use_slot_.size());
   }
-  std::sort(uses_.begin(), uses_.end());
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // link kNoOverlayLink: never a real one
+  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * use_slot_.size(), 16));
+  const int shift = 64 - std::countr_zero(capacity);
+  link_table_.resize(capacity);
+  std::fill(link_table_.begin(), link_table_.end(), kEmpty);
   links_.clear();
-  use_slot_.resize(uses_.size());
-  for (const std::uint64_t use : uses_) {
-    const auto link = static_cast<net::OverlayLinkIndex>(use >> 32);
-    const auto pos = static_cast<std::uint32_t>(use);
-    if (links_.empty() || links_.back().link != link) links_.push_back({link, 0.0});
-    links_.back().kbps += use_kbps_[pos];
-    use_slot_[pos] = static_cast<std::uint32_t>(links_.size() - 1);
+  std::uint32_t pos = 0;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const double kbps = fg.edge(e).required_bandwidth_kbps;
+    for (; pos < edge_end_[e]; ++pos) {
+      const net::OverlayLinkIndex l = use_slot_[pos];
+      // Fibonacci hashing: the top bits of l·2^64/φ spread the strided ids
+      // of a torus walk.
+      std::size_t h = (std::uint64_t{l} * 0x9E3779B97F4A7C15ULL) >> shift;
+      while ((link_table_[h] >> 32) != l && link_table_[h] != kEmpty) h = (h + 1) & (capacity - 1);
+      if (link_table_[h] == kEmpty) {
+        link_table_[h] = (std::uint64_t{l} << 32) | links_.size();
+        links_.push_back({l, 0.0});
+      }
+      const auto slot = static_cast<std::uint32_t>(link_table_[h]);
+      links_[slot].kbps += kbps;
+      use_slot_[pos] = slot;
+    }
   }
 }
 

@@ -64,8 +64,7 @@ class ComponentGraph {
   bool interfaces_compatible(const StreamSystem& sys) const;
 
   /// Accumulated QoS of one source→sink path (components + virtual links).
-  QoSVector path_qos(const StreamSystem& sys, const StateView& view,
-                     const std::vector<FnNodeIndex>& path, double now) const;
+  QoSVector path_qos(const StreamSystem& sys, const std::vector<FnNodeIndex>& path) const;
 
   /// Every assigned component satisfies the request's security/license
   /// policy (extension: paper Sec. 6 future-work constraints).
@@ -96,8 +95,9 @@ class ComponentGraph {
 /// Summation order is part of the contract, so φ is bit-reproducible: a
 /// node's demand sums in fn order, a link's demand in (edge, walk) order,
 /// and φ adds node terms in fn order, then link terms in edge order.
-/// Per-link demand is aggregated by a stable sort of the (link, kbps) uses,
-/// not a scan per use: a torus virtual link spans dozens of overlay links.
+/// Per-link demand is aggregated through a small open-addressing table from
+/// overlay link to its slot, not a scan per use: a torus virtual link spans
+/// dozens of overlay links.
 ///
 /// The buffers are reused across calls and hold a typical composition
 /// inline, so evaluating allocates nothing in steady state. The owner (a
@@ -133,8 +133,8 @@ class CompositionEvaluator {
                             const StateView& view, double now);
 
   /// Aggregates the assignment's demand without reading any state:
-  /// node_demand() lists each host once (first-use order), link_demand()
-  /// each overlay link once (ascending id).
+  /// node_demand() lists each host once, link_demand() each overlay link
+  /// once, both in first-use order.
   void aggregate(const FunctionGraph& fg, const std::vector<ComponentId>& assignment);
 
   std::span<const NodeDemand> node_demand() const { return {nodes_.data(), nodes_.size()}; }
@@ -155,9 +155,12 @@ class CompositionEvaluator {
   UseVec<LinkDemand> links_;
   FnVec<std::uint32_t> fn_slot_;    ///< fn node → index in nodes_
   FnVec<std::uint32_t> edge_end_;   ///< edge → one past its last use position
-  UseVec<std::uint64_t> uses_;      ///< (link << 32 | use position), sorted
-  UseVec<double> use_kbps_;         ///< per use position
   UseVec<std::uint32_t> use_slot_;  ///< use position → index in links_
+  /// Overlay link → index in links_, as (link << 32 | index) entries with
+  /// linear probing. Each aggregate() clears and uses only a power-of-two
+  /// prefix of at least twice the composition's link uses (Σ hops over its
+  /// non-co-located edges).
+  UseVec<std::uint64_t> link_table_;
 };
 
 }  // namespace acp::stream

@@ -1,13 +1,26 @@
-// StateView — the read-side abstraction over QoS/resource state.
+// StateView — the read-side abstraction over resource availability.
 //
 // Composition logic is written once against this interface and evaluated
 // against different information regimes, which is the heart of the paper's
 // hybrid design:
-//   * TrueStateView     — the simulator's ground truth (what probes collect
-//                         on the nodes they visit, and what the Optimal
-//                         baseline is allowed to read everywhere);
-//   * CoarseStateView   — the threshold-updated global state (what ACP's
-//                         candidate selection reads, possibly stale).
+//   * StreamSystem::TrueView          — the simulator's ground truth (what
+//                                       the Optimal baseline may read
+//                                       everywhere);
+//   * StreamSystem::RequestScopedView — ground truth as one request's deputy
+//                                       sees it: its own transient
+//                                       reservations count as available;
+//   * GlobalStateManager::CoarseView  — the threshold-updated global state
+//                                       (what ACP's candidate selection
+//                                       reads, possibly stale);
+//   * LocalStateManager::LocalView    — one node's exact own state plus a
+//                                       periodic snapshot of the rest;
+//   * core::WhatIfView                — any view minus hypothetical
+//                                       allocations (trace replay).
+//
+// The regimes differ only in availability, so that is all a view carries.
+// QoS is static in the simulated system — no fault or update changes a
+// component's profile or a link's delay and loss — and is read from
+// StreamSystem::component(c).qos and StreamSystem::virtual_link_qos instead.
 #pragma once
 
 #include "net/overlay.h"
@@ -26,22 +39,10 @@ class StateView {
   /// Available bandwidth on overlay link `l` as believed at time `now`.
   virtual double link_available_kbps(net::OverlayLinkIndex l, double now) const = 0;
 
-  /// QoS profile of component `c` as believed at time `now`.
-  virtual QoSVector component_qos(ComponentId c, double now) const = 0;
-
-  /// QoS of overlay link `l` (delay + additive loss) as believed at `now`.
-  virtual QoSVector link_qos(net::OverlayLinkIndex l, double now) const = 0;
-
-  // ---- Derived virtual-link quantities (shared implementation) ----------
-
   /// Bottleneck available bandwidth of the virtual link a→b: min over its
   /// overlay links; +infinity when a == b (co-location, paper footnote 8).
   double virtual_link_available_kbps(const net::OverlayMesh& mesh, NodeId a, NodeId b,
                                      double now) const;
-
-  /// Aggregated QoS of the virtual link a→b: sum over its overlay links;
-  /// zero when a == b (paper footnote 4).
-  QoSVector virtual_link_qos(const net::OverlayMesh& mesh, NodeId a, NodeId b, double now) const;
 };
 
 }  // namespace acp::stream

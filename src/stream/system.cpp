@@ -20,14 +20,6 @@ double StateView::virtual_link_available_kbps(const net::OverlayMesh& mesh, Node
   return avail;
 }
 
-QoSVector StateView::virtual_link_qos(const net::OverlayMesh& mesh, NodeId a, NodeId b,
-                                      double now) const {
-  QoSVector q;
-  if (a == b) return q;  // co-located: 0 network delay, no loss
-  mesh.for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) { q += link_qos(l, now); });
-  return q;
-}
-
 // ---- Ground-truth view ------------------------------------------------------
 
 class StreamSystem::TrueView final : public StateView {
@@ -40,15 +32,6 @@ class StreamSystem::TrueView final : public StateView {
 
   double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
     return sys_.link_pool(l).available(now);
-  }
-
-  QoSVector component_qos(ComponentId c, double /*now*/) const override {
-    return sys_.component(c).qos;
-  }
-
-  QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = sys_.mesh().link(l);
-    return QoSVector::from_additive(link.delay_ms, link.additive_loss);
   }
 
  private:

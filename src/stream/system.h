@@ -81,6 +81,15 @@ class StreamSystem {
   BandwidthPool& link_pool(net::OverlayLinkIndex l);
   const BandwidthPool& link_pool(net::OverlayLinkIndex l) const;
 
+  /// Aggregated QoS of the virtual link a→b — the walk-order sum of its
+  /// overlay links' delay and additive loss, in O(1); zero when a == b
+  /// (paper footnote 4). Like component(c).qos it is static, the same under
+  /// every information regime, so no StateView serves it.
+  QoSVector virtual_link_qos(NodeId a, NodeId b) const {
+    const net::PathQoS q = mesh_->virtual_link_qos(a, b);
+    return QoSVector::from_additive(q.delay_ms, q.additive_loss);
+  }
+
   /// Ground-truth state view (precise, current).
   const StateView& true_state() const;
 
@@ -210,13 +219,6 @@ class StreamSystem::RequestScopedView final : public StateView {
   }
   double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
     return sys_.link_pool(l).available_excluding(now, request_);
-  }
-  QoSVector component_qos(ComponentId c, double /*now*/) const override {
-    return sys_.component(c).qos;
-  }
-  QoSVector link_qos(net::OverlayLinkIndex l, double /*now*/) const override {
-    const auto& link = sys_.mesh().link(l);
-    return QoSVector::from_additive(link.delay_ms, link.additive_loss);
   }
 
  private:

@@ -63,8 +63,8 @@ struct SelectionFixture : ::testing::Test {
 TEST_F(SelectionFixture, RiskIsAccumulationOverRequirement) {
   ctx.accumulated = QoSVector::from_metrics(100.0, 0.0);
   // No upstream: risk = (100 + 10) / 1000 on the delay dim.
-  EXPECT_NEAR(risk_function(ctx, sys->true_state(), cands[0]), 110.0 / 1000.0, 1e-9);
-  EXPECT_NEAR(risk_function(ctx, sys->true_state(), cands[1]), 150.0 / 1000.0, 1e-9);
+  EXPECT_NEAR(risk_function(ctx, cands[0]), 110.0 / 1000.0, 1e-9);
+  EXPECT_NEAR(risk_function(ctx, cands[1]), 150.0 / 1000.0, 1e-9);
 }
 
 TEST_F(SelectionFixture, RiskIncludesUpstreamVirtualLink) {
@@ -73,8 +73,7 @@ TEST_F(SelectionFixture, RiskIncludesUpstreamVirtualLink) {
   ctx.current_function = 0;
   ctx.edge_bw_kbps = 100.0;
   const double link_delay = mesh->virtual_link_delay(0, 1);
-  EXPECT_NEAR(risk_function(ctx, sys->true_state(), cands[0]),
-              (10.0 + link_delay) / 1000.0, 1e-9);
+  EXPECT_NEAR(risk_function(ctx, cands[0]), (10.0 + link_delay) / 1000.0, 1e-9);
 }
 
 TEST_F(SelectionFixture, CongestionReflectsLoad) {

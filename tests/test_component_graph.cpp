@@ -91,7 +91,7 @@ TEST_F(CgFixture, PathQosSumsComponentsAndLinks) {
   g.assign(2, c2);
   const auto paths = fg.enumerate_paths();
   ASSERT_EQ(paths.size(), 1u);
-  const auto q = g.path_qos(*sys, sys->true_state(), paths[0], 0.0);
+  const auto q = g.path_qos(*sys, paths[0]);
   const double expected_delay =
       30.0 + mesh->virtual_link_delay(0, 1) + mesh->virtual_link_delay(1, 2);
   EXPECT_NEAR(q.delay_ms(), expected_delay, 1e-9);

@@ -1,16 +1,24 @@
-// Differential test of CompositionEvaluator against a std::map reference:
-// the per-node/per-link demand tables and φ computation that the flat
-// evaluator replaced, kept here as the reference. On seeded random
-// compositions — co-located components, branches whose virtual links share
-// overlay links, background load, and a RequestScopedView over the
-// request's own transients — feasibility must agree and the aggregates and
-// φ must be bit-identical.
+// Differential tests of CompositionEvaluator against two references kept
+// here: the std::map per-node/per-link demand tables and φ computation that
+// the flat evaluator replaced, and the evaluator's own earlier aggregation,
+// which sorted (link, use position) keys instead of looking links up in a
+// table. On seeded random compositions — co-located components, branches
+// whose virtual links share overlay links, background load, and a
+// RequestScopedView over the request's own transients — feasibility must
+// agree, the aggregates and φ must be bit-identical, and link_demand() must
+// list links in first-use order. One evaluator is reused across every
+// composition, as callers do, so its link table grows and shrinks between
+// cases and must never serve a stale entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "net/topology.h"
 #include "stream/component_graph.h"
@@ -82,6 +90,106 @@ double congestion_aggregation(const StreamSystem& sys, const ComponentGraph& g,
   return phi;
 }
 
+// ---- Reference: sort-based aggregation --------------------------------------
+
+// The evaluator's aggregation before its link table: one use per (edge,
+// walk step); sorting the (link, position) keys groups each link's uses in
+// position order, so each link sums in (edge, walk) order and the links
+// come out in ascending id.
+struct SortedAggregate {
+  std::vector<std::pair<NodeId, ResourceVector>> nodes;  ///< first-use order
+  std::vector<std::uint32_t> fn_slot;                    ///< fn node → nodes index
+  std::vector<std::pair<net::OverlayLinkIndex, double>> links;  ///< ascending id
+  std::vector<std::uint32_t> edge_end;  ///< edge → one past its last use position
+  std::vector<std::uint32_t> use_slot;  ///< use position → links index
+};
+
+SortedAggregate sorted_aggregate(const StreamSystem& sys, const FunctionGraph& fg,
+                                 const std::vector<ComponentId>& assignment) {
+  SortedAggregate agg;
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    const NodeId node = sys.component(assignment[i]).node;
+    std::uint32_t slot = 0;
+    while (slot < agg.nodes.size() && agg.nodes[slot].first != node) ++slot;
+    if (slot == agg.nodes.size()) agg.nodes.emplace_back(node, ResourceVector{});
+    agg.nodes[slot].second += fg.node(i).required;
+    agg.fn_slot.push_back(slot);
+  }
+  std::vector<std::uint64_t> uses;
+  std::vector<double> use_kbps;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const FnEdge& edge = fg.edge(e);
+    const NodeId a = sys.component(assignment[edge.from]).node;
+    const NodeId b = sys.component(assignment[edge.to]).node;
+    if (a != b) {
+      sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+        uses.push_back((std::uint64_t{l} << 32) | uses.size());
+        use_kbps.push_back(edge.required_bandwidth_kbps);
+      });
+    }
+    agg.edge_end.push_back(static_cast<std::uint32_t>(uses.size()));
+  }
+  std::sort(uses.begin(), uses.end());
+  agg.use_slot.resize(uses.size());
+  for (const std::uint64_t use : uses) {
+    const auto link = static_cast<net::OverlayLinkIndex>(use >> 32);
+    const auto pos = static_cast<std::uint32_t>(use);
+    if (agg.links.empty() || agg.links.back().first != link) agg.links.emplace_back(link, 0.0);
+    agg.links.back().second += use_kbps[pos];
+    agg.use_slot[pos] = static_cast<std::uint32_t>(agg.links.size() - 1);
+  }
+  return agg;
+}
+
+/// φ over the sorted aggregation, term for term as the evaluator adds them.
+std::optional<double> sorted_phi(const StreamSystem& sys, const FunctionGraph& fg,
+                                 const std::vector<ComponentId>& assignment,
+                                 const StateView& view, double now) {
+  const SortedAggregate agg = sorted_aggregate(sys, fg, assignment);
+  std::vector<ResourceVector> node_residual;
+  for (const auto& [node, demand] : agg.nodes) {
+    const ResourceVector avail = view.node_available(node, now);
+    if (!demand.fits_within(avail)) return std::nullopt;
+    node_residual.push_back(avail - demand);
+  }
+  std::vector<double> link_residual;
+  for (const auto& [link, kbps] : agg.links) {
+    const double avail = view.link_available_kbps(link, now);
+    if (kbps > avail) return std::nullopt;
+    link_residual.push_back(avail - kbps);
+  }
+  double phi = 0.0;
+  for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+    phi += congestion_terms(fg.node(i).required, node_residual[agg.fn_slot[i]]);
+  }
+  std::uint32_t pos = 0;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    if (pos == agg.edge_end[e]) continue;
+    double residual = std::numeric_limits<double>::infinity();
+    for (; pos < agg.edge_end[e]; ++pos) {
+      residual = std::min(residual, link_residual[agg.use_slot[pos]]);
+    }
+    phi += congestion_term(fg.edge(e).required_bandwidth_kbps, residual);
+  }
+  return phi;
+}
+
+/// The assignment's overlay links in first-use (edge, walk) order, each once.
+std::vector<net::OverlayLinkIndex> first_use_order(const StreamSystem& sys,
+                                                   const ComponentGraph& g) {
+  const FunctionGraph& fg = g.function_graph();
+  std::vector<net::OverlayLinkIndex> order;
+  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const NodeId a = sys.component(g.component_at(fg.edge(e).from)).node;
+    const NodeId b = sys.component(g.component_at(fg.edge(e).to)).node;
+    if (a == b) continue;
+    sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+      if (std::find(order.begin(), order.end(), l) == order.end()) order.push_back(l);
+    });
+  }
+  return order;
+}
+
 // ---- Random worlds and compositions ---------------------------------------
 
 struct World {
@@ -127,10 +235,10 @@ World inet_world(std::uint64_t seed) {
   return w;
 }
 
-World torus_world(std::uint64_t seed) {
+World torus_world(std::uint64_t seed, std::size_t rows = 5, std::size_t cols = 6) {
   World w;
   util::Rng rng(seed);
-  w.mesh = std::make_unique<net::OverlayMesh>(net::OverlayMesh::torus(5, 6, 1.0, 1000.0));
+  w.mesh = std::make_unique<net::OverlayMesh>(net::OverlayMesh::torus(rows, cols, 1.0, 1000.0));
   populate(w, rng);
   return w;
 }
@@ -167,12 +275,16 @@ struct Tally {
   std::size_t infeasible = 0;
   std::size_t colocated = 0;    ///< some node hosts two or more fn nodes
   std::size_t shared_link = 0;  ///< some overlay link carries two or more edges
+  std::size_t grew = 0;         ///< more link uses than the previous composition
+  std::size_t shrank = 0;       ///< fewer link uses than the previous composition
+  std::size_t max_uses = 0;
 };
 
 void check_world(World& w, std::uint64_t seed, Tally& tally) {
   StreamSystem& sys = *w.sys;
   util::Rng rng(seed);
   CompositionEvaluator eval(sys);  // reused across every case, as callers do
+  std::size_t prev_uses = 0;
   for (int round = 0; round < 150; ++round) {
     const RequestId rid = 1 + static_cast<RequestId>(round);
     const FunctionGraph fg = random_graph(rng, w.min_link_kbps);
@@ -211,19 +323,36 @@ void check_world(World& w, std::uint64_t seed, Tally& tally) {
       if (a != b) link_uses += sys.mesh().virtual_link_hops(a, b);
     }
     if (link_ref.size() < link_uses) ++tally.shared_link;
+    tally.grew += link_uses > prev_uses ? 1 : 0;
+    tally.shrank += link_uses < prev_uses ? 1 : 0;
+    tally.max_uses = std::max(tally.max_uses, link_uses);
+    prev_uses = link_uses;
 
-    // Aggregated demand: the same totals, bit for bit.
+    // Aggregated demand: the same totals, bit for bit, as both references;
+    // links in first-use order.
     eval.aggregate(fg, g.assignment());
     ASSERT_EQ(eval.node_demand().size(), node_ref.size());
     for (const auto& n : eval.node_demand()) EXPECT_EQ(n.demand, node_ref.at(n.node));
+    const SortedAggregate sorted = sorted_aggregate(sys, fg, g.assignment());
+    const std::map<net::OverlayLinkIndex, double> sorted_totals(sorted.links.begin(),
+                                                                sorted.links.end());
+    const auto order = first_use_order(sys, g);
     ASSERT_EQ(eval.link_demand().size(), link_ref.size());
-    for (const auto& l : eval.link_demand()) EXPECT_EQ(l.kbps, link_ref.at(l.link));
+    ASSERT_EQ(eval.link_demand().size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const auto& l = eval.link_demand()[i];
+      EXPECT_EQ(l.link, order[i]) << "seed " << seed << " round " << round;
+      EXPECT_EQ(l.kbps, link_ref.at(l.link));
+      EXPECT_EQ(l.kbps, sorted_totals.at(l.link));
+    }
 
     const StreamSystem::RequestScopedView scoped(sys, rid);
     for (const StateView* view : {&sys.true_state(), static_cast<const StateView*>(&scoped)}) {
       const bool feasible = resources_feasible(sys, g, *view, 0.0);
       const auto phi = eval.phi(fg, g.assignment(), *view, 0.0);
+      const auto phi_sorted = sorted_phi(sys, fg, g.assignment(), *view, 0.0);
       ASSERT_EQ(phi.has_value(), feasible) << "seed " << seed << " round " << round;
+      ASSERT_EQ(phi_sorted.has_value(), feasible) << "seed " << seed << " round " << round;
       if (!feasible) {
         ++tally.infeasible;
         continue;
@@ -231,6 +360,7 @@ void check_world(World& w, std::uint64_t seed, Tally& tally) {
       ++tally.feasible;
       EXPECT_EQ(*phi, congestion_aggregation(sys, g, *view, 0.0))
           << "seed " << seed << " round " << round;
+      EXPECT_EQ(*phi, *phi_sorted) << "seed " << seed << " round " << round;
     }
     sys.cancel_request(rid);
     sys.cancel_request(rid + 100000);
@@ -258,6 +388,23 @@ TEST(CompositionEvaluatorDifferential, MatchesMapReferenceOnTorus) {
   EXPECT_GE(tally.feasible, 100u);
   EXPECT_GE(tally.infeasible, 50u);
   EXPECT_GE(tally.colocated, 100u);
+  EXPECT_GE(tally.shared_link, 50u);
+}
+
+// A 16×20 torus has virtual links of up to 18 hops, so compositions range
+// from no link use at all to well past the evaluator's inline capacity: the
+// reused link table grows, and smaller compositions then run over a table
+// that still holds a larger one's entries past their prefix.
+TEST(CompositionEvaluatorDifferential, ReusedEvaluatorGrowsAndShrinksOnLargeTorus) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    World w = torus_world(seed, 16, 20);
+    check_world(w, seed * 41, tally);
+  }
+  EXPECT_GE(tally.grew, 100u);
+  EXPECT_GE(tally.shrank, 100u);
+  EXPECT_GE(tally.max_uses, 100u);
+  EXPECT_GE(tally.feasible, 50u);
   EXPECT_GE(tally.shared_link, 50u);
 }
 

@@ -27,13 +27,11 @@ struct StateFixture : ::testing::Test {
     for (stream::NodeId n = 0; n < sys->node_count(); ++n) {
       sys->set_node_capacity(n, stream::ResourceVector(100.0, 1000.0));
     }
-    comp = sys->add_component(0, 0, stream::QoSVector::from_metrics(5.0, 0.001));
   }
 
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
-  stream::ComponentId comp{};
   sim::Engine engine;
   sim::CounterSet counters;
 };
@@ -108,12 +106,6 @@ TEST_F(StateFixture, StartTwiceThrows) {
   GlobalStateManager mgr(*sys, engine, counters);
   mgr.start();
   EXPECT_THROW(mgr.start(), acp::PreconditionError);
-}
-
-TEST_F(StateFixture, ComponentQosIsServedFromCoarseView) {
-  GlobalStateManager mgr(*sys, engine, counters);
-  mgr.start();
-  EXPECT_NEAR(mgr.view().component_qos(comp, 0.0).delay_ms(), 5.0, 1e-12);
 }
 
 // ---- Local state -------------------------------------------------------------
