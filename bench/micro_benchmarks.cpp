@@ -195,7 +195,7 @@ BENCHMARK(BM_GuidedSearch)->Arg(1)->Arg(3)->Arg(10);
 void BM_GlobalStateSweep(benchmark::State& state) {
   auto& w = World::instance();
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   state::GlobalStateManager mgr(*w.dep.sys, engine, counters);
   mgr.start();
   for (auto _ : state) {

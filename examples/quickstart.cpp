@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   // 2. Wire up the runtime: event engine, state management, discovery.
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::SessionTable sessions(sys);
   discovery::Registry registry(sys, counters);
   state::GlobalStateManager global_state(sys, engine, counters);
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
     std::printf("Composed! session=%llu  phi=%.3f  (%zu candidate graphs, %zu qualified)\n",
                 static_cast<unsigned long long>(outcome.session), outcome.phi,
                 outcome.candidates_examined, outcome.candidates_qualified);
-    std::printf("Probe messages: %llu\n",
-                static_cast<unsigned long long>(counters.total(sim::counter::kProbe)));
+    const std::uint64_t probes = counters.counter_family_total(obs::metric::kProbeMessages);
+    std::printf("Probe messages: %llu\n", static_cast<unsigned long long>(probes));
     const auto* rec = sessions.find(outcome.session);
     std::printf("Session components:");
     for (auto c : rec->components) {

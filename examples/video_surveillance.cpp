@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const auto& catalog = sys.catalog();
 
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::SessionTable sessions(sys);
   discovery::Registry registry(sys, counters);
   state::GlobalStateManager global_state(sys, engine, counters);
@@ -120,9 +120,9 @@ int main(int argc, char** argv) {
   }
 
   engine.run_until(60.0);
+  const std::uint64_t probes = counters.counter_family_total(obs::metric::kProbeMessages);
   std::printf("Established %zu/%zu camera pipelines; probe messages: %llu\n", established,
-              cameras,
-              static_cast<unsigned long long>(counters.total(sim::counter::kProbe)));
+              cameras, static_cast<unsigned long long>(probes));
   for (auto sid : session_ids) sessions.close(sid);
   std::printf("All sessions closed.\n");
   return established > 0 ? 0 : 1;

@@ -17,7 +17,6 @@
 #include "core/composer.h"
 #include "core/search.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "stream/session.h"
 #include "util/rng.h"
@@ -28,49 +27,74 @@ struct BaselineContext {
   stream::StreamSystem* sys = nullptr;
   stream::SessionTable* sessions = nullptr;
   sim::Engine* engine = nullptr;
-  sim::CounterSet* counters = nullptr;
+  /// Where probe and confirmation messages count (acp.probe.messages,
+  /// acp.probe.confirmations).
+  obs::MetricsRegistry* counters = nullptr;
   /// Optional observability sink (request-level spans/metrics only — the
   /// baselines have no probe lifecycle).
   obs::Observability* obs = nullptr;
 };
 
-class OptimalComposer final : public Composer {
+/// What the three baselines share: the context, the request-level series
+/// (resolved once into handles), and the direct-commit tail.
+class BaselineComposer : public Composer {
+ protected:
+  explicit BaselineComposer(BaselineContext ctx);
+
+  /// The request_accepted span and counter.
+  void observe_accepted(const workload::Request& req);
+
+  /// Qualifies `graph` against ground truth, commits directly, and fills
+  /// the outcome.
+  CompositionOutcome finalize_direct(const workload::Request& req,
+                                     const std::optional<stream::ComponentGraph>& graph,
+                                     const SearchStats& stats);
+
+  BaselineContext ctx_;
+
+ private:
+  void observe_outcome(const workload::Request& req, const CompositionOutcome& out);
+
+  obs::CounterHandle confirmations_;
+  obs::CounterHandle accepted_;
+  obs::CounterHandle confirmed_;
+  obs::CounterHandle failed_;
+  obs::HistogramHandle setup_confirmed_;
+  obs::HistogramHandle setup_failed_;
+};
+
+class OptimalComposer final : public BaselineComposer {
  public:
-  explicit OptimalComposer(BaselineContext ctx, std::size_t combo_cap = 200'000)
-      : ctx_(ctx), combo_cap_(combo_cap) {}
+  explicit OptimalComposer(BaselineContext ctx, std::size_t combo_cap = 200'000);
 
   void compose(const workload::Request& req,
                std::function<void(const CompositionOutcome&)> done) override;
   std::string name() const override { return "Optimal"; }
 
  private:
-  BaselineContext ctx_;
   std::size_t combo_cap_;
+  obs::CounterHandle probe_messages_;
 };
 
-class RandomComposer final : public Composer {
+class RandomComposer final : public BaselineComposer {
  public:
-  RandomComposer(BaselineContext ctx, util::Rng rng) : ctx_(ctx), rng_(rng) {}
+  RandomComposer(BaselineContext ctx, util::Rng rng) : BaselineComposer(ctx), rng_(rng) {}
 
   void compose(const workload::Request& req,
                std::function<void(const CompositionOutcome&)> done) override;
   std::string name() const override { return "Random"; }
 
  private:
-  BaselineContext ctx_;
   util::Rng rng_;
 };
 
-class StaticComposer final : public Composer {
+class StaticComposer final : public BaselineComposer {
  public:
-  explicit StaticComposer(BaselineContext ctx) : ctx_(ctx) {}
+  explicit StaticComposer(BaselineContext ctx) : BaselineComposer(ctx) {}
 
   void compose(const workload::Request& req,
                std::function<void(const CompositionOutcome&)> done) override;
   std::string name() const override { return "Static"; }
-
- private:
-  BaselineContext ctx_;
 };
 
 }  // namespace acp::core

@@ -77,29 +77,68 @@ struct ProbingProtocol::Coordinator {
 };
 
 ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions,
-                                 sim::Engine& engine, sim::CounterSet& counters,
+                                 sim::Engine& engine, obs::MetricsRegistry& counters,
                                  discovery::Registry& registry,
                                  const stream::StateView& global_view, util::Rng rng,
                                  ProbingConfig config, obs::Observability* obs)
     : sys_(&sys),
       sessions_(&sessions),
       engine_(&engine),
-      counters_(&counters),
       registry_(&registry),
       global_view_(&global_view),
       rng_(rng),
       config_(config),
       obs_(obs),
+      probe_messages_(&counters, obs::metric::kProbeMessages),
+      retry_messages_(&counters, obs::metric::kProbeRetryMessages),
+      confirmations_(&counters, obs::metric::kConfirmations),
       evaluator_(sys) {
   ACP_REQUIRE(config_.probe_timeout_s > 0.0);
   ACP_REQUIRE(config_.transient_ttl_s > 0.0);
   ACP_REQUIRE(config_.max_probes_per_request >= 1);
-  if (obs_ != nullptr) {
-    prof_process_ = obs_->profiler.scope(obs::prof_scope::kProbingProcess);
-    prof_rank_ = obs_->profiler.scope(obs::prof_scope::kProbingRank);
-    prof_finalize_ = obs_->profiler.scope(obs::prof_scope::kProbingFinalize);
-    attr_ = &obs_->attribution;
-  }
+  if (obs_ == nullptr) return;
+  prof_process_ = obs_->profiler.scope(obs::prof_scope::kProbingProcess);
+  prof_rank_ = obs_->profiler.scope(obs::prof_scope::kProbingRank);
+  prof_finalize_ = obs_->profiler.scope(obs::prof_scope::kProbingFinalize);
+  attr_ = &obs_->attribution;
+
+  obs::MetricsRegistry* m = &obs_->metrics;
+  namespace metric = obs::metric;
+  accepted_ = obs::CounterHandle(m, metric::kRequestAccepted);
+  confirmed_ = obs::CounterHandle(m, metric::kRequestConfirmed);
+  failed_ = obs::CounterHandle(m, metric::kRequestFailed);
+  spawned_ = obs::CounterHandle(m, metric::kProbeSpawned);
+  returned_ = obs::CounterHandle(m, metric::kProbeReturned);
+  retries_ = obs::CounterHandle(m, metric::kProbeRetries);
+  evaluated_ = obs::CounterHandle(m, metric::kCandidatesEvaluated);
+  hop_depth_ = obs::HistogramHandle(m, metric::kProbeHopDepth,
+                                    {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
+  setup_confirmed_ = obs::HistogramHandle(m, metric::kRequestSetupTime, obs::duration_bounds_s(),
+                                          {{"outcome", "confirmed"}});
+  setup_failed_ = obs::HistogramHandle(m, metric::kRequestSetupTime, obs::duration_bounds_s(),
+                                       {{"outcome", "failed"}});
+
+  const auto rejected = [m](const char* why) {
+    return obs::CounterHandle(m, metric::kCandidatesRejected, {{"reason", why}});
+  };
+  rejected_policy_ = rejected(obs::candidate_reason::kPolicy);
+  rejected_rate_ = rejected(obs::candidate_reason::kRateIncompatible);
+  rejected_qos_ = rejected(obs::candidate_reason::kQoSBound);
+  rejected_node_ = rejected(obs::candidate_reason::kNodeResources);
+  rejected_link_ = rejected(obs::candidate_reason::kLinkBandwidth);
+  rejected_rank_ = rejected(obs::candidate_reason::kRankCutoff);
+  rejected_budget_ = rejected(obs::candidate_reason::kBudget);
+
+  const auto death = [m](const char* why) {
+    return Death{why, obs::CounterHandle(m, metric::kProbeDeaths, {{"reason", why}})};
+  };
+  died_qos_ = death(obs::reason::kQoSViolation);
+  died_node_ = death(obs::reason::kNodeReservation);
+  died_link_ = death(obs::reason::kLinkReservation);
+  died_moved_ = death(obs::reason::kComponentMoved);
+  died_timeout_ = death(obs::reason::kTimeout);
+  died_childless_ = death(obs::reason::kNoChildren);
+  died_lost_ = death(obs::reason::kMessageLost);
 }
 
 stream::NodeId ProbingProtocol::deputy_for(net::NodeIndex client_ip) const {
@@ -233,7 +272,8 @@ void ProbingProtocol::send_probe(const std::shared_ptr<Coordinator>& coord, Prob
   if (coord->finalized) return;
   // Returning probes chase the *current* deputy (re-election may move it).
   const stream::NodeId to = returning ? coord->deputy : probe.at;
-  double delay_s = config_.hop_processing_s + sys_->mesh().virtual_link_delay(from, to) / 1000.0;
+  double delay_s =
+      config_.hop_processing_s + sys_->mesh().virtual_link_qos(from, to).delay_ms / 1000.0;
   if (faults_ != nullptr) {
     // Sharded: stochastic loss/delay draws come from the request's private
     // stream (shard-count-invariant); the node/link-down checks read
@@ -243,16 +283,16 @@ void ProbingProtocol::send_probe(const std::shared_ptr<Coordinator>& coord, Prob
                           : faults_->message_fate(from, to);
     if (fate.lost) {
       if (attempt >= config_.max_retries) {
-        probe_died(probe, coord->req->id, obs::reason::kMessageLost);
+        probe_died(probe, coord->req->id, died_lost_);
         probe_ended(coord);
         return;
       }
       const double backoff = config_.retry_backoff_s * static_cast<double>(1ULL << attempt);
       ++retries_sent_;
-      counters_->add(sim::counter::kProbeRetry);
-      counters_->add(sim::counter::kProbe);  // the retransmission is a message too
+      retry_messages_.add();
+      probe_messages_.add();  // the retransmission is a message too
       if (obs_ != nullptr) {
-        obs_->metrics.counter(obs::metric::kProbeRetries).add();
+        retries_.add();
         obs_->tracer.event("probe_retry")
             .field("req", coord->req->id)
             .field("probe", probe.id)
@@ -320,7 +360,7 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
   }
 
   if (obs_ != nullptr) {
-    obs_->metrics.counter(obs::metric::kRequestAccepted).add();
+    accepted_.add();
     obs_->tracer.event("request_accepted")
         .field("req", req.id)
         .field("deputy", static_cast<std::uint64_t>(coord->deputy))
@@ -348,7 +388,7 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
     ++live_probes_;
     ++coord->spawned_per_path[p];
     if (obs_ != nullptr) {
-      obs_->metrics.counter(obs::metric::kProbeSpawned).add();
+      spawned_.add();
       obs_->tracer.event("probe_spawned")
           .field("req", req.id)
           .field("probe", probe.id)
@@ -365,9 +405,8 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
 
 void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, Probe probe) {
   if (coord->finalized) return;  // late arrival after deadline: ignore
-  const obs::ProfScope prof(prof_process_);
-  const obs::AttrWallScope attr_wall(attr_, obs::attr_phase::kProbe,
-                                     static_cast<std::int64_t>(probe.at));
+  const obs::ProfScope prof(prof_process_, attr_, obs::attr_phase::kProbe,
+                            static_cast<std::int64_t>(probe.at));
   const workload::Request& req = *coord->req;
   const auto& path = coord->paths[probe.path_index];
   const double now = sim_now();
@@ -394,13 +433,13 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     // was in flight (dynamic placement extension); the probe finds it gone
     // and dies — the deputy simply sees one fewer candidate.
     if (sys_->component(chosen).node != probe.at) {
-      probe_died(probe, req.id, obs::reason::kComponentMoved, static_cast<std::int64_t>(chosen));
+      probe_died(probe, req.id, died_moved_, static_cast<std::int64_t>(chosen));
       probe_ended(coord);
       return;
     }
     // QoS conformance (accumulated includes this component already).
     if (!probe.accumulated.satisfies(req.qos_req)) {
-      probe_died(probe, req.id, obs::reason::kQoSViolation);
+      probe_died(probe, req.id, died_qos_);
       probe_ended(coord);
       return;
     }
@@ -408,7 +447,7 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     const double expires = now + config_.transient_ttl_s;
     if (!admit_node(*coord, stream::node_tag(fn), probe.at, req.graph.node(fn).required, now,
                     expires)) {
-      probe_died(probe, req.id, obs::reason::kNodeReservation);
+      probe_died(probe, req.id, died_node_);
       probe_ended(coord);
       return;
     }
@@ -420,7 +459,7 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
       const double bw = req.graph.edge(e).required_bandwidth_kbps;
       if (!admit_link(*coord, stream::link_tag(req.graph, e), sys_->component(prev).node,
                       probe.at, bw, now, expires)) {
-        probe_died(probe, req.id, obs::reason::kLinkReservation);
+        probe_died(probe, req.id, died_link_);
         probe_ended(coord);
         return;
       }
@@ -429,7 +468,7 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
 
   // --- Path complete: return to the deputy.
   if (level == path.size()) {
-    counters_->add(sim::counter::kProbe);  // return message
+    probe_messages_.add();  // return message
     send_probe(coord, probe, probe.at, /*returning=*/true, /*attempt=*/0);
     return;
   }
@@ -462,9 +501,8 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
   HopFilterStats filter_stats;
   std::size_t rank_cutoff = 0;
   {
-    const obs::ProfScope rank_prof(prof_rank_);
-    const obs::AttrWallScope rank_attr(attr_, obs::attr_phase::kRank,
-                                       static_cast<std::int64_t>(probe.at));
+    const obs::ProfScope rank_prof(prof_rank_, attr_, obs::attr_phase::kRank,
+                                   static_cast<std::int64_t>(probe.at));
     if (coord->hop_policy == PerHopPolicy::kGuided) {
       // Filter + rank on the coarse global state (possibly stale — that is
       // the point: precise state comes from the probes themselves).
@@ -514,9 +552,9 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     ++live_probes_;
     ++coord->spawned_per_path[probe.path_index];
     ++spawned;
-    counters_->add(sim::counter::kProbe);  // probe transmission
+    probe_messages_.add();  // probe transmission
     if (obs_ != nullptr) {
-      obs_->metrics.counter(obs::metric::kProbeSpawned).add();
+      spawned_.add();
       obs_->tracer.event("probe_spawned")
           .field("req", req.id)
           .field("probe", child.id)
@@ -533,18 +571,17 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     // Per-hop candidate accounting. Invariant (asserted by tests):
     // evaluated == spawned + Σ reject reasons.
     const std::size_t budget_cut = selected.size() - spawned;
-    auto& metrics = obs_->metrics;
-    metrics.counter(obs::metric::kCandidatesEvaluated).add(candidates.size());
-    const auto reject = [&metrics](const char* why, std::size_t n) {
-      if (n > 0) metrics.counter(obs::metric::kCandidatesRejected, {{"reason", why}}).add(n);
+    evaluated_.add(candidates.size());
+    const auto reject = [](obs::CounterHandle& series, std::size_t n) {
+      if (n > 0) series.add(n);
     };
-    reject(obs::candidate_reason::kPolicy, filter_stats.policy);
-    reject(obs::candidate_reason::kRateIncompatible, filter_stats.rate_incompatible);
-    reject(obs::candidate_reason::kQoSBound, filter_stats.qos_bound);
-    reject(obs::candidate_reason::kNodeResources, filter_stats.node_resources);
-    reject(obs::candidate_reason::kLinkBandwidth, filter_stats.link_bandwidth);
-    reject(obs::candidate_reason::kRankCutoff, rank_cutoff);
-    reject(obs::candidate_reason::kBudget, budget_cut);
+    reject(rejected_policy_, filter_stats.policy);
+    reject(rejected_rate_, filter_stats.rate_incompatible);
+    reject(rejected_qos_, filter_stats.qos_bound);
+    reject(rejected_node_, filter_stats.node_resources);
+    reject(rejected_link_, filter_stats.link_bandwidth);
+    reject(rejected_rank_, rank_cutoff);
+    reject(rejected_budget_, budget_cut);
     obs_->tracer.event("probe_hop")
         .field("req", req.id)
         .field("probe", probe.id)
@@ -557,24 +594,24 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
         .field("rejected_filter", filter_stats.total())
         .field("rejected_rank", rank_cutoff)
         .field("rejected_budget", budget_cut);
-    if (spawned == 0) probe_died(probe, req.id, obs::reason::kNoChildren);
+    if (spawned == 0) probe_died(probe, req.id, died_childless_);
   }
 
   // The parent probe forked (or died childless).
   probe_ended(coord);
 }
 
-void ProbingProtocol::probe_died(const Probe& probe, stream::RequestId req, const char* reason,
+void ProbingProtocol::probe_died(const Probe& probe, stream::RequestId req, Death& death,
                                  std::int64_t component) {
   if (obs_ == nullptr) return;
-  obs_->metrics.counter(obs::metric::kProbeDeaths, {{"reason", reason}}).add();
+  death.count.add();
   obs::TraceEvent ev = obs_->tracer.event("probe_rejected");
   ev.field("req", req)
       .field("probe", probe.id)
       .field("path", probe.path_index)
       .field("hop", probe.components.size())
       .field("node", static_cast<std::uint64_t>(probe.at))
-      .field("reason", reason);
+      .field("reason", death.reason);
   // Causal link for span trees: which component's disappearance killed the
   // probe (joins to the preceding component_migrated event).
   if (component >= 0) ev.field("component", component);
@@ -584,10 +621,8 @@ void ProbingProtocol::probe_returned(const std::shared_ptr<Coordinator>& coord,
                                      const Probe& probe) {
   if (coord->finalized) return;
   if (obs_ != nullptr) {
-    obs_->metrics.counter(obs::metric::kProbeReturned).add();
-    obs_->metrics
-        .histogram(obs::metric::kProbeHopDepth, {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0})
-        .observe(static_cast<double>(probe.components.size()));
+    returned_.add();
+    hop_depth_.observe(static_cast<double>(probe.components.size()));
     obs_->tracer.event("probe_returned")
         .field("req", coord->req->id)
         .field("probe", probe.id)
@@ -630,8 +665,7 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   // Reached via the deadline with probes still in flight: each outstanding
   // probe is accounted a timeout death (late arrivals are ignored above).
   if (obs_ != nullptr && coord->outstanding > 0) {
-    obs_->metrics.counter(obs::metric::kProbeDeaths, {{"reason", obs::reason::kTimeout}})
-        .add(coord->outstanding);
+    died_timeout_.count.add(coord->outstanding);
     obs_->tracer.event("probe_timeout")
         .field("req", req.id)
         .field("outstanding", coord->outstanding)
@@ -643,10 +677,9 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   // commit. Released before `done` so the requester's callback is not
   // charged to it.
   std::optional<obs::ProfScope> prof;
-  if (prof_finalize_.wall != nullptr) prof.emplace(prof_finalize_);
-  std::optional<obs::AttrWallScope> attr_wall;
-  if (attr_ != nullptr && attr_->enabled()) {
-    attr_wall.emplace(attr_, obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord->deputy));
+  if (prof_finalize_.wall != nullptr) {
+    prof.emplace(prof_finalize_, attr_, obs::attr_phase::kFinalize,
+                 static_cast<std::int64_t>(coord->deputy));
   }
 
   // Merge per-path assignments into complete component graphs (DAG case:
@@ -681,7 +714,6 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
     return;
   }
   out = commit(*coord, graphs, ranked, out, cap_hit);
-  attr_wall.reset();
   prof.reset();
   coord->done(out);
 }
@@ -701,25 +733,19 @@ CompositionOutcome ProbingProtocol::commit(
     out.phi = *phi;
     out.session = sessions_->commit_probed(req.id, g, now, req.arrival_time + req.duration_s);
     // Confirmation messages travel the composition (one per component).
-    counters_->add(sim::counter::kConfirmation, req.graph.node_count());
+    confirmations_.add(req.graph.node_count());
     break;
   }
   if (!out.found_qualified) sys_->cancel_request(req.id);
 
   if (obs_ != nullptr) {
     const double setup_s = now - coord.start_time;
-    const char* outcome = out.success() ? "confirmed" : "failed";
     // The request's end-to-end setup latency, attributed to its deputy —
     // "which coordinators' requests waited longest, and where".
     attr_->record(obs::attr_phase::kFinalize, static_cast<std::int64_t>(coord.deputy), -1,
                   setup_s);
-    obs_->metrics
-        .counter(out.success() ? obs::metric::kRequestConfirmed : obs::metric::kRequestFailed)
-        .add();
-    obs_->metrics
-        .histogram(obs::metric::kRequestSetupTime, obs::duration_bounds_s(),
-                   {{"outcome", outcome}})
-        .observe(setup_s);
+    (out.success() ? confirmed_ : failed_).add();
+    (out.success() ? setup_confirmed_ : setup_failed_).observe(setup_s);
     if (out.success()) {
       obs_->tracer.event("composition_confirmed")
           .field("req", req.id)

@@ -33,7 +33,6 @@
 #include "discovery/registry.h"
 #include "fault/fault.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "sim/shard.h"
 #include "stream/session.h"
@@ -111,11 +110,12 @@ class ProbingExecutor {
 class ProbingProtocol : public ProbingExecutor {
  public:
   /// `global_view` is the coarse state consulted by kGuided selection; RP
-  /// (kRandom) never reads it and may pass the same pointer. All references
-  /// must outlive the protocol. `obs`, when non-null, receives probe
-  /// lifecycle trace spans and acp.request.* / acp.probe.* metrics.
+  /// (kRandom) never reads it and may pass the same pointer. Probe,
+  /// retransmission and confirmation messages count into `counters`. All
+  /// references must outlive the protocol. `obs`, when non-null, receives
+  /// probe lifecycle trace spans and acp.request.* / acp.probe.* metrics.
   ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions, sim::Engine& engine,
-                  sim::CounterSet& counters, discovery::Registry& registry,
+                  obs::MetricsRegistry& counters, discovery::Registry& registry,
                   const stream::StateView& global_view, util::Rng rng, ProbingConfig config = {},
                   obs::Observability* obs = nullptr);
 
@@ -211,17 +211,22 @@ class ProbingProtocol : public ProbingExecutor {
   /// crashed (the overlay member closest to the client among live nodes).
   void on_node_change(stream::NodeId node, bool up);
 
+  /// One probe-death reason: its name and its acp.probe.deaths series.
+  struct Death {
+    const char* reason = nullptr;
+    obs::CounterHandle count;
+  };
+
   /// Records one probe death: acp.probe.deaths{reason} + probe_rejected
   /// span. `component`, when >= 0, is the component whose disappearance or
   /// state killed the probe (today: component_moved) — the causal link a
   /// span tree needs to join the death to its component_migrated event.
-  void probe_died(const Probe& probe, stream::RequestId req, const char* reason,
+  void probe_died(const Probe& probe, stream::RequestId req, Death& death,
                   std::int64_t component = -1);
 
   stream::StreamSystem* sys_;
   stream::SessionTable* sessions_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
   discovery::Registry* registry_;
   const stream::StateView* global_view_;
   util::Rng rng_;
@@ -251,10 +256,43 @@ class ProbingProtocol : public ProbingExecutor {
   std::vector<std::weak_ptr<Coordinator>> active_;
 
   // Wall-clock profiling scopes (inert without obs_): the per-hop hot path,
-  // its candidate-ranking section, and the deputy's finalize step.
+  // its candidate-ranking section, and the deputy's finalize step. Each
+  // also feeds attr_host{probe|rank|finalize} when attribution is enabled.
   obs::ProfSlot prof_process_;
   obs::ProfSlot prof_rank_;
   obs::ProfSlot prof_finalize_;
+
+  // Message counts, live with or without observability.
+  obs::CounterHandle probe_messages_;
+  obs::CounterHandle retry_messages_;
+  obs::CounterHandle confirmations_;
+  // Per-event lifecycle series, resolved on first use; inert without obs_.
+  obs::CounterHandle accepted_;
+  obs::CounterHandle confirmed_;
+  obs::CounterHandle failed_;
+  obs::CounterHandle spawned_;
+  obs::CounterHandle returned_;
+  obs::CounterHandle retries_;
+  obs::CounterHandle evaluated_;
+  obs::HistogramHandle hop_depth_;
+  obs::HistogramHandle setup_confirmed_;
+  obs::HistogramHandle setup_failed_;
+  /// acp.probe.candidates_rejected{reason}, one per obs::candidate_reason.
+  obs::CounterHandle rejected_policy_;
+  obs::CounterHandle rejected_rate_;
+  obs::CounterHandle rejected_qos_;
+  obs::CounterHandle rejected_node_;
+  obs::CounterHandle rejected_link_;
+  obs::CounterHandle rejected_rank_;
+  obs::CounterHandle rejected_budget_;
+  /// acp.probe.deaths{reason}, one per obs::reason.
+  Death died_qos_;
+  Death died_node_;
+  Death died_link_;
+  Death died_moved_;
+  Death died_timeout_;
+  Death died_childless_;
+  Death died_lost_;
 
   /// The deputy's evaluation buffers: used by finalize() and by commit(),
   /// which in sharded mode runs in the apply phase while this instance's

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "stream/system.h"
 #include "util/rng.h"
 
@@ -24,9 +23,10 @@ struct DiscoveryConfig {
 
 class Registry {
  public:
-  /// `obs`, when non-null, records each lookup's wall-clock under the
+  /// Lookups count into `counters` (acp.discovery.lookups). `obs`, when
+  /// non-null, records each lookup's wall-clock under the
   /// "discovery.lookup" profiling scope.
-  Registry(const stream::StreamSystem& sys, sim::CounterSet& counters,
+  Registry(const stream::StreamSystem& sys, obs::MetricsRegistry& counters,
            DiscoveryConfig config = {}, obs::Observability* obs = nullptr);
 
   /// All components currently providing `f`. Counts one discovery lookup.
@@ -35,14 +35,11 @@ class Registry {
   /// Latency of the last lookup-like operation (drawn per call).
   double draw_lookup_latency_ms(util::Rng& rng) const;
 
-  std::uint64_t lookups_performed() const { return lookups_; }
-
  private:
   const stream::StreamSystem* sys_;
-  sim::CounterSet* counters_;
+  mutable obs::CounterHandle lookup_messages_;
   DiscoveryConfig config_;
   obs::ProfSlot prof_lookup_;
-  mutable std::uint64_t lookups_ = 0;
 };
 
 }  // namespace acp::discovery

@@ -1,5 +1,6 @@
 #include "exp/experiment.h"
 
+#include <array>
 #include <memory>
 
 #include "core/baseline_composers.h"
@@ -43,6 +44,13 @@ bool is_probing(Algorithm a) {
 
 /// Does the algorithm maintain (and pay for) the coarse global state?
 bool uses_global_state(Algorithm a) { return a == Algorithm::kAcp || a == Algorithm::kSp; }
+
+/// The counters behind ExperimentResult's message rates: probe messages,
+/// then the two kinds of global-state update.
+constexpr std::array<const char*, 3> kRateCounters = {obs::metric::kProbeMessages,
+                                                      obs::metric::kStateGlobalUpdates,
+                                                      obs::metric::kStateAggregationUpdates};
+using RateCounts = std::array<std::uint64_t, kRateCounters.size()>;
 
 /// Detaches the engine-backed trace clock and the logger's sim-time source
 /// when the run ends (the engine dies with run_experiment's frame, so
@@ -88,14 +96,17 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   }
   sim::Engine& engine = sharded ? shard_eng->global() : *serial_eng;
 
-  sim::CounterSet counters;
-  stream::SessionTable sessions(sys);
-  discovery::Registry registry(sys, counters, {}, config.obs);
-
+  // Message and operation counts live in a metrics registry: the shared one
+  // when observability is attached, a run-local bare registry otherwise (not
+  // a whole Observability, which would switch every obs_ branch on).
   obs::Observability* obs = config.obs;
+  obs::MetricsRegistry run_counters;
+  obs::MetricsRegistry& counters = obs != nullptr ? obs->metrics : run_counters;
+  stream::SessionTable sessions(sys);
+  discovery::Registry registry(sys, counters, {}, obs);
+
   ObsScope obs_scope(obs);
   if (obs != nullptr) {
-    counters.attach_registry(&obs->metrics);
     engine.set_metrics(&obs->metrics);
     engine.set_attribution(&obs->attribution);
     obs->tracer.set_clock([&engine] { return engine.now(); });
@@ -131,13 +142,15 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   core::ProbingRatioTuner tuner(sys, engine, config.tuner);
 
   // --- Sharded protocol instances ------------------------------------------
-  // One ProbingProtocol per shard, each with a private registry, counter
-  // set, and observability capture, so shard workers share no mutable
-  // state. Every instance is constructed from the same probe_rng value and
-  // derives per-request streams from the request id, so which instance runs
-  // a request never shows in any observable.
+  // One ProbingProtocol per shard, each with a private discovery registry,
+  // counter registry (its capture's metrics when attached), and
+  // observability capture, so shard workers share no mutable state. Every
+  // instance is constructed from the same probe_rng value and derives
+  // per-request streams from the request id, so which instance runs a
+  // request never shows in any observable.
   std::vector<std::unique_ptr<obs::ShardCapture>> captures;
-  std::vector<std::unique_ptr<sim::CounterSet>> shard_counters;
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> detached_lane_counters;
+  std::vector<obs::MetricsRegistry*> all_counters{&counters};
   std::vector<std::unique_ptr<discovery::Registry>> shard_registries;
   std::vector<std::unique_ptr<stream::StateView>> shard_views;
   std::vector<std::unique_ptr<core::ProbingProtocol>> protocols;
@@ -156,11 +169,16 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
         cap_obs->tracer.set_run_base(obs->tracer.run_index());
         shard_eng->set_lane_obs(i, &cap_obs->metrics, &cap_obs->attribution);
       }
-      shard_counters.push_back(std::make_unique<sim::CounterSet>());
-      if (cap_obs != nullptr) shard_counters.back()->attach_registry(&cap_obs->metrics);
-      shard_registries.push_back(
-          std::make_unique<discovery::Registry>(sys, *shard_counters.back(),
-                                                discovery::DiscoveryConfig{}, cap_obs));
+      obs::MetricsRegistry* lane_counters = nullptr;
+      if (cap_obs != nullptr) {
+        lane_counters = &cap_obs->metrics;
+      } else {
+        detached_lane_counters.push_back(std::make_unique<obs::MetricsRegistry>());
+        lane_counters = detached_lane_counters.back().get();
+      }
+      all_counters.push_back(lane_counters);
+      shard_registries.push_back(std::make_unique<discovery::Registry>(
+          sys, *lane_counters, discovery::DiscoveryConfig{}, cap_obs));
       // Global-state guidance reads record staleness; give each instance a
       // private view so worker threads never share that histogram.
       const stream::StateView* inst_guidance = &guidance;
@@ -169,7 +187,7 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
         inst_guidance = shard_views.back().get();
       }
       protocols.push_back(std::make_unique<core::ProbingProtocol>(
-          sys, sessions, engine, *shard_counters.back(), *shard_registries.back(), *inst_guidance,
+          sys, sessions, engine, *lane_counters, *shard_registries.back(), *inst_guidance,
           probe_rng, config.probing, cap_obs));
       protocols.back()->set_shard_host(se);
       instance_ptrs.push_back(protocols.back().get());
@@ -263,13 +281,19 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   };
   std::deque<LiveRequest> live_requests;
 
-  // Measurement window for message rates starts at warmup.
-  counters.begin_window(warmup_s);
-  for (auto& cs : shard_counters) cs->begin_window(warmup_s);
-  engine.schedule_at(warmup_s, [&] {
-    counters.begin_window(warmup_s);
-    for (auto& cs : shard_counters) cs->begin_window(warmup_s);
-  });
+  // Message rates are counter deltas from this warmup event to the end of
+  // the run, summed over the run's counter registries (lanes included).
+  const auto message_counts = [&all_counters] {
+    RateCounts n{};
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      for (const obs::MetricsRegistry* r : all_counters) {
+        if (const obs::Counter* c = r->find_counter(kRateCounters[i])) n[i] += c->value();
+      }
+    }
+    return n;
+  };
+  RateCounts at_warmup{};
+  engine.schedule_at(warmup_s, [&] { at_warmup = message_counts(); });
 
   // --- Arrival process -----------------------------------------------------
   std::function<void()> schedule_next_arrival = [&] {
@@ -372,6 +396,10 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
     engine.run_until(horizon_s + 120.0);
   }
 
+  // Read before the lane captures fold into the shared registry, which
+  // would count their messages twice.
+  const auto at_end = message_counts();
+
   // Fold the lane captures back into the shared sinks: trace rows from the
   // global lane and every shard merge-sort by (sim time, submission-order
   // key, arrival rank) — a total order derived from event identity, never
@@ -394,14 +422,11 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   const double window_end = horizon_s;
   const double window_span_min = (window_end - warmup_s) / 60.0;
   if (window_span_min > 0) {
-    const auto per_min = [&](const char* name) {
-      std::uint64_t n = counters.window_count(name);
-      for (const auto& cs : shard_counters) n += cs->window_count(name);
-      return static_cast<double>(n) / window_span_min;
+    const auto per_min = [&](std::size_t i) {
+      return static_cast<double>(at_end[i] - at_warmup[i]) / window_span_min;
     };
-    result.probe_rate_per_minute = per_min(sim::counter::kProbe);
-    result.state_update_rate_per_minute =
-        per_min(sim::counter::kGlobalStateUpdate) + per_min(sim::counter::kAggregationUpdate);
+    result.probe_rate_per_minute = per_min(0);
+    result.state_update_rate_per_minute = per_min(1) + per_min(2);
     result.overhead_per_minute =
         result.probe_rate_per_minute + result.state_update_rate_per_minute;
   }

@@ -86,14 +86,15 @@ FaultPlan FaultPlan::load_jsonl_file(const std::string& path) {
 }
 
 FaultInjector::FaultInjector(stream::StreamSystem& sys, sim::Engine& engine, util::Rng rng,
-                             FaultPlan plan, RecoveryConfig recovery, sim::CounterSet* counters,
-                             obs::Observability* obs)
+                             FaultPlan plan, RecoveryConfig recovery,
+                             obs::MetricsRegistry* counters, obs::Observability* obs)
     : sys_(&sys),
       engine_(&engine),
       rng_(rng),
       plan_(std::move(plan)),
       recovery_(recovery),
-      counters_(counters),
+      fault_events_(counters, obs::metric::kFaultEvents),
+      reclaims_(counters, obs::metric::kTransientReclaims),
       obs_(obs),
       node_down_(sys.node_count(), false),
       link_down_(sys.mesh().link_count(), false),
@@ -121,7 +122,7 @@ void FaultInjector::start() {
 
 void FaultInjector::count_fault(FaultKind kind) {
   ++faults_injected_;
-  if (counters_ != nullptr) counters_->add(sim::counter::kFaultEvent);
+  fault_events_.add();
   if (obs_ != nullptr) {
     obs_->metrics.counter(obs::metric::kFaultInjected, {{"kind", fault_kind_name(kind)}}).add();
   }
@@ -262,7 +263,7 @@ void FaultInjector::crash_node(stream::NodeId n, double downtime_s) {
     const std::size_t reclaimed = sys_->reclaim_node_transients(n, engine_->now());
     if (reclaimed == 0) return;
     transients_reclaimed_ += reclaimed;
-    if (counters_ != nullptr) counters_->add(sim::counter::kTransientReclaim, reclaimed);
+    reclaims_.add(reclaimed);
     if (obs_ != nullptr) {
       obs_->metrics.counter(obs::metric::kTransientsReclaimed, {{"scope", "crash"}})
           .add(reclaimed);
@@ -405,7 +406,7 @@ std::size_t FaultInjector::run_reclamation_sweep() {
   sys_->prune_expired(now);
   if (reclaimed > 0) {
     transients_reclaimed_ += reclaimed;
-    if (counters_ != nullptr) counters_->add(sim::counter::kTransientReclaim, reclaimed);
+    reclaims_.add(reclaimed);
     if (obs_ != nullptr) {
       obs_->metrics.counter(obs::metric::kTransientsReclaimed, {{"scope", "sweep"}})
           .add(reclaimed);

@@ -76,14 +76,15 @@ OverlayMesh::OverlayMesh(const Graph& ip, const OverlayConfig& config, util::Rng
 
   // 5. Overlay all-pairs routing (one Dijkstra per member over the mesh),
   //    then materialize every pair's path and its QoS sum once — composition
-  //    hot paths walk virtual links constantly.
-  overlay_routes_ = std::make_unique<RoutingTable>(mesh_);
+  //    hot paths walk virtual links constantly. The routing table itself is
+  //    not kept: the paths and sums answer every later query.
+  const RoutingTable overlay_routes(mesh_);
   pair_paths_.resize(n * n);
   pair_qos_.resize(n * n);
   for (OverlayNodeIndex a = 0; a < n; ++a) {
     for (OverlayNodeIndex b = 0; b < n; ++b) {
       if (a == b) continue;
-      auto edges = overlay_routes_->path_edges(a, b);
+      auto edges = overlay_routes.path_edges(a, b);
       ACP_ASSERT_MSG(!edges.empty(), "overlay mesh must be connected");
       const std::size_t pair = static_cast<std::size_t>(a) * n + b;
       pair_paths_[pair] = {edges.begin(), edges.end()};
@@ -192,12 +193,6 @@ std::size_t OverlayMesh::virtual_link_hops(OverlayNodeIndex a, OverlayNodeIndex 
   ACP_REQUIRE(a < members_.size() && b < members_.size());
   if (torus_) return torus_distance(a, b);
   return pair_paths_[static_cast<std::size_t>(a) * members_.size() + b].size();
-}
-
-double OverlayMesh::virtual_link_delay(OverlayNodeIndex a, OverlayNodeIndex b) const {
-  if (a == b) return 0.0;  // co-located components: 0 network delay
-  if (torus_) return torus_distance(a, b) * torus_link_delay_ms_;
-  return overlay_routes_->distance(a, b);
 }
 
 PathQoS OverlayMesh::virtual_link_qos(OverlayNodeIndex a, OverlayNodeIndex b) const {

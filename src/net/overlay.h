@@ -116,9 +116,6 @@ class OverlayMesh {
   /// Number of links on the virtual link a→b (torus: Manhattan distance).
   std::size_t virtual_link_hops(OverlayNodeIndex a, OverlayNodeIndex b) const;
 
-  /// Sum of link delays along the virtual link a→b (0 when a == b).
-  double virtual_link_delay(OverlayNodeIndex a, OverlayNodeIndex b) const;
-
   /// QoS of the virtual link a→b in O(1), zero when a == b. Bit-identical to
   /// starting from zero and adding each link's (delay, additive loss) along
   /// for_each_virtual_link: link QoS is fixed at construction, so the sums
@@ -202,7 +199,6 @@ class OverlayMesh {
   Graph mesh_;                              ///< overlay graph (delay, capacity)
   std::vector<OverlayLink> links_;          ///< parallel to mesh_ edges
   std::unique_ptr<RoutingTable> ip_routes_; ///< trees rooted at member hosts
-  std::unique_ptr<RoutingTable> overlay_routes_;  ///< APSP over mesh_
   /// Per-pair cached paths, row-major (a * node_count + b). Empty in torus
   /// mode — O(N²) tables are exactly what the torus exists to avoid.
   std::vector<std::vector<OverlayLinkIndex>> pair_paths_;

@@ -16,7 +16,9 @@
 //               seconds they sat in the queue (fire time − enqueue time).
 //               Untagged events aggregate under "other".
 //   attr_host   host wall-clock rows keyed (phase, node) — the real time
-//               the process spent in that phase on behalf of that node.
+//               the process spent in that phase on behalf of that node,
+//               written by the phase's obs::ProfScope (obs/profile.h) from
+//               the same elapsed time its profiler histogram observes.
 //               Host-observable, so EXEMPT from identity gates (mirrors
 //               the timeline sample / host_sample split).
 //
@@ -41,7 +43,6 @@
 // of the CI jobs-invariance gate on attribution rows.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -155,30 +156,6 @@ class Attribution {
   std::map<Key, Cell> rows_;
   std::map<std::string, Cell> waits_;
   std::map<HostKey, HostCell> host_;
-};
-
-/// RAII wall-clock capture into attr_host{phase, node}. Inert when `attr`
-/// is null or disabled — one branch, no clock reads.
-class AttrWallScope {
- public:
-  AttrWallScope(Attribution* attr, const char* phase, std::int64_t node)
-      : attr_(attr != nullptr && attr->enabled() ? attr : nullptr), phase_(phase), node_(node) {
-    if (attr_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~AttrWallScope() {
-    if (attr_ == nullptr) return;
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    attr_->record_wall(phase_, node_, std::chrono::duration<double>(elapsed).count());
-  }
-
-  AttrWallScope(const AttrWallScope&) = delete;
-  AttrWallScope& operator=(const AttrWallScope&) = delete;
-
- private:
-  Attribution* attr_;
-  const char* phase_;
-  std::int64_t node_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace acp::obs

@@ -205,6 +205,12 @@ void MetricsRegistry::for_each_histogram(
   for (const auto& [key, h] : hists_) fn(key.first, key.second, *h);
 }
 
+std::uint64_t CounterHandle::value() const {
+  if (series_ != nullptr) return series_->value();
+  const Counter* c = registry_ == nullptr ? nullptr : registry_->find_counter(name_, labels_);
+  return c == nullptr ? 0 : c->value();
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& src) {
   for (const auto& [key, c] : src.counters_) {
     counter(key.first, key.second).merge_from(*c);

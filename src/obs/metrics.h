@@ -3,10 +3,12 @@
 //
 // The paper's evaluation is built on observables (setup-time distributions,
 // probing overhead in messages/minute, success under dynamics). This
-// registry is the machine-readable home for those observables: modules grab
-// a metric once (`registry.counter("acp.probe.deaths", {{"reason",
-// "qos_violation"}})`) and bump it on the hot path; the experiment harness
-// snapshots everything into JSON at end of run.
+// registry is the machine-readable home for those observables, and the only
+// counter store: modules hold a handle per series (`CounterHandle(&registry,
+// "acp.probe.deaths", {{"reason", "qos_violation"}})`, resolved on its first
+// write) and bump it on the hot path; the experiment harness derives its
+// message rates from the counters and snapshots everything into JSON at
+// end of run.
 //
 // Naming convention (see docs/ARCHITECTURE.md "Observability"):
 //   acp.request.*   request-level outcomes and setup-time histograms
@@ -203,6 +205,81 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Histogram>> hists_;
   std::map<std::string, Kind> name_kinds_;
   std::map<std::string, std::string> meta_;
+};
+
+// Cached series handles for hot paths. A handle resolves its series on the
+// first write and keeps the pointer, so every later write is one branch and
+// one add — no name, label or bounds construction. The series appears in
+// the registry exactly when the by-name call would have created it (an add
+// of 0 included): a handle for an event that never happens leaves no
+// zero-valued series behind. Over a null registry a handle is inert. The
+// name must outlive the handle (the metric::k* constants and string
+// literals do).
+
+class CounterHandle {
+ public:
+  CounterHandle() = default;
+  CounterHandle(MetricsRegistry* registry, const char* name, Labels labels = {})
+      : registry_(registry), name_(name), labels_(std::move(labels)) {}
+
+  void add(std::uint64_t n = 1) {
+    if (series_ == nullptr) {
+      if (registry_ == nullptr) return;
+      series_ = &registry_->counter(name_, labels_);
+    }
+    series_->add(n);
+  }
+
+  /// The series' count; 0 while it does not exist.
+  std::uint64_t value() const;
+
+ private:
+  MetricsRegistry* registry_ = nullptr;
+  const char* name_ = "";
+  Labels labels_;
+  Counter* series_ = nullptr;
+};
+
+class GaugeHandle {
+ public:
+  GaugeHandle() = default;
+  GaugeHandle(MetricsRegistry* registry, const char* name) : registry_(registry), name_(name) {}
+
+  void set(double v) {
+    if (series_ == nullptr) {
+      if (registry_ == nullptr) return;
+      series_ = &registry_->gauge(name_);
+    }
+    series_->set(v);
+  }
+
+ private:
+  MetricsRegistry* registry_ = nullptr;
+  const char* name_ = "";
+  Gauge* series_ = nullptr;
+};
+
+class HistogramHandle {
+ public:
+  HistogramHandle() = default;
+  HistogramHandle(MetricsRegistry* registry, const char* name, std::vector<double> bounds,
+                  Labels labels = {})
+      : registry_(registry), name_(name), bounds_(std::move(bounds)), labels_(std::move(labels)) {}
+
+  void observe(double v) {
+    if (series_ == nullptr) {
+      if (registry_ == nullptr) return;
+      series_ = &registry_->histogram(name_, bounds_, labels_);
+    }
+    series_->observe(v);
+  }
+
+ private:
+  MetricsRegistry* registry_ = nullptr;
+  const char* name_ = "";
+  std::vector<double> bounds_;
+  Labels labels_;
+  Histogram* series_ = nullptr;
 };
 
 /// Escapes `s` for inclusion in a JSON string literal (no quotes added).

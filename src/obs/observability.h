@@ -3,8 +3,10 @@
 // hooks compile to cheap branches).
 //
 // Also the home of the well-known metric and reason names, so call sites,
-// the report, and tests agree on spelling (same role sim::counter plays for
-// the legacy CounterSet).
+// the report, and tests agree on spelling. The registry is the only counter
+// store: the message counters below (the paper's overhead metric) count
+// into it on every run — into `metrics` when observability is attached,
+// into a run-local registry when it is not.
 #pragma once
 
 #include "obs/attribution.h"
@@ -58,8 +60,20 @@ inline constexpr const char* kStateUpdates = "acp.state.updates";  ///< label: k
 inline constexpr const char* kSimEventsExecuted = "acp.sim.events_executed";
 inline constexpr const char* kSimQueueDepth = "acp.sim.queue_depth";
 
-// Extensions.
+// Messages and operations, counted with observability attached or not.
+// Probe and state-update message rates (ExperimentResult) are deltas of
+// these from the warmup event to the end of the run.
+inline constexpr const char* kProbeMessages = "acp.probe.messages";  ///< incl. retransmissions
+inline constexpr const char* kProbeRetryMessages = "acp.probe.retry_messages";
+inline constexpr const char* kConfirmations = "acp.probe.confirmations";  ///< one per component
+inline constexpr const char* kDiscoveryLookups = "acp.discovery.lookups";
+inline constexpr const char* kStateGlobalUpdates = "acp.state.global_updates";
+inline constexpr const char* kStateAggregationUpdates = "acp.state.aggregation_updates";
+inline constexpr const char* kStateLocalRefresh = "acp.state.local_refresh";
 inline constexpr const char* kMigrationMoves = "acp.migration.moves";
+inline constexpr const char* kFaultEvents = "acp.fault.events";
+inline constexpr const char* kTransientReclaims = "acp.recovery.transient_reclaims";
+inline constexpr const char* kSessionRepairMoves = "acp.recovery.session_repair_moves";
 
 // Fault injection (acp::fault) and the recovery mechanisms answering it.
 inline constexpr const char* kFaultInjected = "acp.fault.injected";  ///< label: kind

@@ -17,6 +17,11 @@
 //   ...
 //   { ProfScope prof(slot_); hot_path(); }                          // per call
 //
+// A scope at a protocol-phase call site can also charge its one elapsed
+// time to the cost attribution's host rows (attr_host{phase, node}, see
+// obs/attribution.h) when attribution is enabled, so the profiler and the
+// attribution artifact count the same invocations with the same clock.
+//
 // Optional allocation deltas: when the build defines ACPSTREAM_PROF_ALLOC
 // (CMake option, off by default), profile.cpp replaces global operator
 // new/delete with counting versions and every scope additionally records
@@ -29,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/attribution.h"
 #include "obs/metrics.h"
 
 namespace acp::obs {
@@ -77,10 +83,17 @@ class Profiler {
 
 /// RAII measurement of one scope invocation. Construction snapshots the
 /// steady clock (and the allocation counter when enabled); destruction
-/// observes the deltas into the slot's histograms.
+/// observes the deltas into the slot's histograms and, when `attr` is
+/// enabled, adds the same wall seconds to attr_host{phase, node}. Over an
+/// inert slot it reads no clock and records nothing.
 class ProfScope {
  public:
-  explicit ProfScope(const ProfSlot& slot) : slot_(slot) {
+  explicit ProfScope(const ProfSlot& slot) : ProfScope(slot, nullptr, nullptr, -1) {}
+  ProfScope(const ProfSlot& slot, Attribution* attr, const char* phase, std::int64_t node)
+      : slot_(slot),
+        attr_(attr != nullptr && attr->enabled() ? attr : nullptr),
+        phase_(phase),
+        node_(node) {
     if (slot_.wall != nullptr) {
       if (slot_.allocs != nullptr) allocs_start_ = allocations_now();
       start_ = std::chrono::steady_clock::now();
@@ -89,7 +102,9 @@ class ProfScope {
   ~ProfScope() {
     if (slot_.wall == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    slot_.wall->observe(std::chrono::duration<double>(elapsed).count());
+    const double wall_s = std::chrono::duration<double>(elapsed).count();
+    slot_.wall->observe(wall_s);
+    if (attr_ != nullptr) attr_->record_wall(phase_, node_, wall_s);
     if (slot_.allocs != nullptr) {
       slot_.allocs->observe(static_cast<double>(allocations_now() - allocs_start_));
     }
@@ -100,6 +115,9 @@ class ProfScope {
 
  private:
   ProfSlot slot_;
+  Attribution* attr_;  ///< null unless attribution is enabled
+  const char* phase_;
+  std::int64_t node_;
   std::chrono::steady_clock::time_point start_{};
   std::uint64_t allocs_start_ = 0;
 };

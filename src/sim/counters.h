@@ -1,88 +1,26 @@
-// Named message/operation counters with time-window sampling.
-//
-// The paper's "overhead" metric is messages per minute, broken down by kind
-// (probes, global-state updates, confirmations, ...). CounterSet gives each
-// kind a named counter and can compute per-minute rates over a window.
-//
-// CounterSet is now the compatibility shim over the obs::MetricsRegistry:
-// when a registry is attached, every add() is mirrored into a typed counter
-// under the acp.* naming convention (see canonical_metric_name), so legacy
-// call sites feed the same snapshot/report pipeline as new instrumentation
-// without changing their spelling or the window-rate semantics experiments
-// rely on.
+// Legacy counter spellings, kept for perfbench/main.cpp, which reads its
+// stream.confirmations and discovery.lookups metrics through
+// canonical_metric_name. Counters live in obs::MetricsRegistry under the
+// names in obs/observability.h; nothing else should use this header.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "obs/metrics.h"
-#include "sim/engine.h"
+#include "obs/observability.h"
+#include "util/error.h"
 
 namespace acp::sim {
 
-class CounterSet {
- public:
-  /// Adds `n` to counter `name` (created on first use).
-  void add(const std::string& name, std::uint64_t n = 1);
-
-  /// Mirrors all subsequent add() calls into `registry` (nullptr detaches).
-  /// Existing totals are back-filled on attach so the registry never lags.
-  void attach_registry(obs::MetricsRegistry* registry);
-
-  /// Total since construction (0 for unknown names).
-  std::uint64_t total(const std::string& name) const;
-
-  /// Sum of totals across all counters.
-  std::uint64_t grand_total() const;
-
-  /// Snapshot of all counter totals.
-  std::map<std::string, std::uint64_t> snapshot() const;
-
-  /// Marks the start of a measurement window at simulated time `t`.
-  void begin_window(SimTime t);
-
-  /// Counter delta since begin_window().
-  std::uint64_t window_count(const std::string& name) const;
-
-  /// Sum of deltas across all counters since begin_window().
-  std::uint64_t window_grand_count() const;
-
-  /// Rate in events/minute since begin_window(), evaluated at time `t`.
-  /// Returns 0 when the window has zero or negative width (evaluating at a
-  /// `t` earlier than the window start must never yield a negative rate).
-  double window_rate_per_minute(const std::string& name, SimTime t) const;
-  double window_grand_rate_per_minute(SimTime t) const;
-
-  void reset();
-
- private:
-  std::map<std::string, std::uint64_t> counts_;
-  std::map<std::string, std::uint64_t> window_start_counts_;
-  SimTime window_start_ = 0.0;
-  obs::MetricsRegistry* registry_ = nullptr;
-};
-
-/// Maps a legacy CounterSet name onto the acp.* metric naming convention
-/// used by the obs registry ("probe_messages" → "acp.probe.messages";
-/// unknown names fall back to "acp.sim.counter.<name>").
-std::string canonical_metric_name(const std::string& counter_name);
-
-/// Well-known counter names shared across modules, so experiment code and
-/// tests agree on spelling.
 namespace counter {
-inline constexpr const char* kProbe = "probe_messages";
-inline constexpr const char* kGlobalStateUpdate = "global_state_updates";
-inline constexpr const char* kAggregationUpdate = "aggregation_updates";
 inline constexpr const char* kConfirmation = "confirmation_messages";
 inline constexpr const char* kDiscovery = "discovery_lookups";
-inline constexpr const char* kLocalRefresh = "local_state_refresh";
-// Fault-injection subsystem (acp::fault) and its recovery machinery.
-inline constexpr const char* kFaultEvent = "fault_events";
-inline constexpr const char* kTransientReclaim = "transients_reclaimed";
-inline constexpr const char* kProbeRetry = "probe_retries";
-inline constexpr const char* kSessionRepair = "session_repairs";
 }  // namespace counter
+
+/// Registry name of a legacy counter spelling above.
+inline std::string canonical_metric_name(const std::string& counter_name) {
+  if (counter_name == counter::kConfirmation) return obs::metric::kConfirmations;
+  if (counter_name == counter::kDiscovery) return obs::metric::kDiscoveryLookups;
+  throw PreconditionError("unknown legacy counter name: " + counter_name);
+}
 
 }  // namespace acp::sim

@@ -4,51 +4,70 @@
 
 namespace acp::state {
 
-// Queryable coarse view over the published copies.
+// Queryable coarse view over the published copies. When attached, every
+// read observes its staleness — one histogram observation per read, through
+// handles resolved on the first read.
 class GlobalStateManager::CoarseView final : public stream::StateView {
  public:
   CoarseView(const GlobalStateManager& m, obs::Observability* obs, bool gauge)
-      : m_(m), obs_(obs), gauge_(gauge) {}
+      : m_(m),
+        observed_(obs != nullptr),
+        staleness_(obs != nullptr ? &obs->metrics : nullptr, obs::metric::kStateReadStaleness,
+                   obs::duration_bounds_s()),
+        age_(obs != nullptr && gauge ? &obs->metrics : nullptr,
+             obs::metric::kStateStalenessAge) {}
 
   stream::ResourceVector node_available(stream::NodeId node, double /*now*/) const override {
     ACP_REQUIRE(node < m_.nodes_.size());
-    if (obs_ != nullptr) m_.observe_read_staleness(m_.nodes_.updated_at(node), *obs_, gauge_);
+    if (observed_) observe(m_.nodes_.updated_at(node));
     return m_.nodes_.available(node);
   }
 
   double link_available_kbps(net::OverlayLinkIndex l, double /*now*/) const override {
     ACP_REQUIRE(l < m_.links_.size());
-    if (obs_ != nullptr) m_.observe_read_staleness(m_.links_.published_at(), *obs_, gauge_);
+    if (observed_) observe(m_.links_.published_at());
     return m_.links_.published(l);
   }
 
  private:
+  void observe(double updated_at) const {
+    const double age = m_.engine_->now() - updated_at;
+    staleness_.observe(age);
+    age_.set(age);
+  }
+
   const GlobalStateManager& m_;
-  obs::Observability* obs_;
-  bool gauge_;
+  bool observed_;
+  mutable obs::HistogramHandle staleness_;
+  mutable obs::GaugeHandle age_;  ///< inert on shard views
 };
 
 GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                                       sim::CounterSet& counters, GlobalStateConfig config,
+                                       obs::MetricsRegistry& counters, GlobalStateConfig config,
                                        obs::Observability* obs)
-    : sys_(&sys), engine_(&engine), counters_(&counters), config_(config), obs_(obs) {
-  if (obs_ != nullptr) {
-    prof_check_ = obs_->profiler.scope(obs::prof_scope::kStateCheckSweep);
-    prof_publish_ = obs_->profiler.scope(obs::prof_scope::kStatePublish);
+    : sys_(&sys),
+      engine_(&engine),
+      global_updates_(&counters, obs::metric::kStateGlobalUpdates),
+      aggregation_updates_(&counters, obs::metric::kStateAggregationUpdates),
+      config_(config) {
+  if (obs != nullptr) {
+    prof_check_ = obs->profiler.scope(obs::prof_scope::kStateCheckSweep);
+    prof_publish_ = obs->profiler.scope(obs::prof_scope::kStatePublish);
+    const auto updates = [obs](const char* kind) {
+      return obs::CounterHandle(&obs->metrics, obs::metric::kStateUpdates, {{"kind", kind}});
+    };
+    updates_node_ = updates("node");
+    updates_link_ = updates("link");
+    updates_publish_ = updates("publish");
+    updates_torn_ = updates("torn_publish");
+    updates_suppressed_ = updates("suppressed");
   }
   ACP_REQUIRE(config_.check_interval_s > 0.0);
   ACP_REQUIRE(config_.threshold_fraction >= 0.0 && config_.threshold_fraction <= 1.0);
   ACP_REQUIRE(config_.aggregation_publish_interval_s > 0.0);
   nodes_.resize(sys.node_count());
   links_.resize(sys.mesh().link_count());
-  view_ = std::make_unique<CoarseView>(*this, obs_, /*gauge=*/true);
-}
-
-void GlobalStateManager::observe_read_staleness(double updated_at, obs::Observability& obs,
-                                                bool gauge) const {
-  const double age = engine_->now() - updated_at;
-  obs.metrics.histogram(obs::metric::kStateReadStaleness, obs::duration_bounds_s()).observe(age);
-  if (gauge) obs.metrics.gauge(obs::metric::kStateStalenessAge).set(age);
+  view_ = std::make_unique<CoarseView>(*this, obs, /*gauge=*/true);
 }
 
 std::unique_ptr<stream::StateView> GlobalStateManager::make_shard_view(
@@ -102,9 +121,7 @@ void GlobalStateManager::run_check_sweep() {
   // global state — exactly how a partitioned reporting path looks from the
   // queriers' side. The published copies silently age.
   if (faults_ != nullptr && faults_->state_updates_suppressed()) {
-    if (obs_ != nullptr) {
-      obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "suppressed"}}).add();
-    }
+    updates_suppressed_.add();
     return;
   }
   const double now = engine_->now();
@@ -124,10 +141,8 @@ void GlobalStateManager::run_check_sweep() {
     }
     if (significant) {
       nodes_.store(n, live, now);
-      counters_->add(sim::counter::kGlobalStateUpdate);
-      if (obs_ != nullptr) {
-        obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "node"}}).add();
-      }
+      global_updates_.add();
+      updates_node_.add();
     }
   }
 
@@ -138,10 +153,8 @@ void GlobalStateManager::run_check_sweep() {
     const double cap = sys_->link_pool(l).capacity();
     if (std::abs(live - links_.reported(l)) > config_.threshold_fraction * cap) {
       links_.report(l, live);
-      counters_->add(sim::counter::kAggregationUpdate);
-      if (obs_ != nullptr) {
-        obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "link"}}).add();
-      }
+      aggregation_updates_.add();
+      updates_link_.add();
     }
   }
 }
@@ -149,22 +162,16 @@ void GlobalStateManager::run_check_sweep() {
 void GlobalStateManager::run_publish() {
   const obs::ProfScope prof(prof_publish_);
   if (faults_ != nullptr && faults_->state_updates_suppressed()) {
-    if (obs_ != nullptr) {
-      obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "suppressed"}}).add();
-    }
+    updates_suppressed_.add();
     return;
   }
   // The aggregation node folds its collected link states into the global
   // state (one bulk update message) and the role rotates for load sharing.
   const bool torn = faults_ != nullptr && faults_->consume_state_tear();
   links_.publish(engine_->now(), torn);
-  if (torn && obs_ != nullptr) {
-    obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "torn_publish"}}).add();
-  }
-  counters_->add(sim::counter::kGlobalStateUpdate);
-  if (obs_ != nullptr) {
-    obs_->metrics.counter(obs::metric::kStateUpdates, {{"kind", "publish"}}).add();
-  }
+  if (torn) updates_torn_.add();
+  global_updates_.add();
+  updates_publish_.add();
   if (config_.rotate_aggregation_node && sys_->node_count() > 0) {
     aggregation_node_ =
         static_cast<stream::NodeId>((aggregation_node_ + 1) % sys_->node_count());

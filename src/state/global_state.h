@@ -18,7 +18,6 @@
 
 #include "fault/fault.h"
 #include "obs/observability.h"
-#include "sim/counters.h"
 #include "sim/engine.h"
 #include "state/state_arrays.h"
 #include "stream/state_view.h"
@@ -45,13 +44,15 @@ struct GlobalStateConfig {
 class GlobalStateManager {
  public:
   /// Registers with `engine` but does not start ticking until start().
-  /// `obs`, when non-null, records acp.state.updates{kind} counters and —
-  /// the number the paper's coarse-grain-state argument hinges on — the
-  /// staleness of every coarse read (acp.state.read_staleness_s histogram
-  /// and acp.state.staleness_age_s gauge): sim-time age of the published
-  /// copy at the moment composition logic consults it.
+  /// Update messages count into `counters` (acp.state.global_updates,
+  /// acp.state.aggregation_updates). `obs`, when non-null, records
+  /// acp.state.updates{kind} counters and — the number the paper's
+  /// coarse-grain-state argument hinges on — the staleness of every coarse
+  /// read (acp.state.read_staleness_s histogram and
+  /// acp.state.staleness_age_s gauge): sim-time age of the published copy
+  /// at the moment composition logic consults it.
   GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                     sim::CounterSet& counters, GlobalStateConfig config = {},
+                     obs::MetricsRegistry& counters, GlobalStateConfig config = {},
                      obs::Observability* obs = nullptr);
   ~GlobalStateManager();
 
@@ -95,15 +96,18 @@ class GlobalStateManager {
 
   void schedule_check();
   void schedule_publish();
-  /// Feeds one coarse read's staleness into `obs`'s histogram (and gauge,
-  /// when the reading view carries it). Views call it only when attached.
-  void observe_read_staleness(double updated_at, obs::Observability& obs, bool gauge) const;
 
   const stream::StreamSystem* sys_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::CounterHandle global_updates_;       ///< acp.state.global_updates
+  obs::CounterHandle aggregation_updates_;  ///< acp.state.aggregation_updates
   GlobalStateConfig config_;
-  obs::Observability* obs_;
+  /// acp.state.updates{kind}; inert without observability.
+  obs::CounterHandle updates_node_;
+  obs::CounterHandle updates_link_;
+  obs::CounterHandle updates_publish_;
+  obs::CounterHandle updates_torn_;
+  obs::CounterHandle updates_suppressed_;
   fault::FaultInjector* faults_ = nullptr;
   obs::ProfSlot prof_check_;    ///< "state.check_sweep" wall time
   obs::ProfSlot prof_publish_;  ///< "state.publish" wall time

@@ -1,7 +1,5 @@
 #include "state/local_state.h"
 
-#include "obs/attribution.h"
-
 namespace acp::state {
 
 // View from one vantage node: own node + adjacent links exact, the rest from
@@ -33,8 +31,11 @@ class LocalStateManager::LocalView final : public stream::StateView {
 };
 
 LocalStateManager::LocalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                                     sim::CounterSet& counters, LocalStateConfig config)
-    : sys_(&sys), engine_(&engine), counters_(&counters), config_(config) {
+                                     obs::MetricsRegistry& counters, LocalStateConfig config)
+    : sys_(&sys),
+      engine_(&engine),
+      refresh_messages_(&counters, obs::metric::kStateLocalRefresh),
+      config_(config) {
   ACP_REQUIRE(config_.refresh_interval_s > 0.0);
   cached_nodes_.resize(sys.node_count());
   cached_link_avail_.resize(sys.mesh().link_count());
@@ -72,7 +73,7 @@ void LocalStateManager::run_refresh() {
   if (config_.count_messages) {
     // One measurement message per overlay neighbor pair (each node pings its
     // neighbors once per refresh).
-    counters_->add(sim::counter::kLocalRefresh, sys_->mesh().link_count() * 2);
+    refresh_messages_.add(sys_->mesh().link_count() * 2);
   }
 }
 

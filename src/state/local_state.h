@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "sim/counters.h"
+#include "obs/observability.h"
 #include "sim/engine.h"
 #include "state/state_arrays.h"
 #include "stream/state_view.h"
@@ -20,15 +20,15 @@ namespace acp::state {
 
 struct LocalStateConfig {
   double refresh_interval_s = 10.0;  ///< paper's example measurement period
-  /// When false, refresh messages are not added to the counter set (the
-  /// paper's overhead metric excludes local measurement).
+  /// When false, refresh messages are not counted (acp.state.local_refresh;
+  /// the paper's overhead metric excludes local measurement).
   bool count_messages = false;
 };
 
 class LocalStateManager {
  public:
   LocalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
-                    sim::CounterSet& counters, LocalStateConfig config = {});
+                    obs::MetricsRegistry& counters, LocalStateConfig config = {});
   ~LocalStateManager();
 
   LocalStateManager(const LocalStateManager&) = delete;
@@ -56,7 +56,7 @@ class LocalStateManager {
 
   const stream::StreamSystem* sys_;
   sim::Engine* engine_;
-  sim::CounterSet* counters_;
+  obs::CounterHandle refresh_messages_;
   LocalStateConfig config_;
 
   // Cached snapshots in struct-of-arrays layout (state_arrays.h): the

@@ -798,42 +798,5 @@ TEST(AttrFolded, WeightsBySimTimeOrCount) {
   EXPECT_NE(out.find("attr;rank;node0;fn2 9\n"), std::string::npos);
 }
 
-// ---- reconcile ------------------------------------------------------------------
-
-BenchDoc reconcile_bench() {
-  BenchDoc b;
-  b.name = "fig6";
-  b.scopes["probing.process_probe"] = {500000, 3.0, 6e-6, 2e-5};
-  return b;
-}
-
-TEST(Reconcile, MatchingCountsAndWallPass) {
-  const DiffResult r = reconcile_attribution(attr_from(kAttrArtifact), reconcile_bench());
-  EXPECT_TRUE(r.ok()) << (r.regressions.empty() ? "" : r.regressions[0]);
-  EXPECT_FALSE(r.notes.empty());
-}
-
-TEST(Reconcile, CountMismatchIsARegression) {
-  BenchDoc b = reconcile_bench();
-  b.scopes["probing.process_probe"].count = 499999;  // one call unaccounted
-  const DiffResult r = reconcile_attribution(attr_from(kAttrArtifact), b);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.regressions[0].find("probe: attribution counted 500000"), std::string::npos);
-}
-
-TEST(Reconcile, WallRatioBreachIsARegression) {
-  BenchDoc b = reconcile_bench();
-  b.scopes["probing.process_probe"].total_s = 30.0;  // 10x the attr wall sum of 2.9
-  EXPECT_FALSE(reconcile_attribution(attr_from(kAttrArtifact), b).ok());
-  // A looser ratio admits the same disagreement.
-  EXPECT_TRUE(reconcile_attribution(attr_from(kAttrArtifact), b, 20.0).ok());
-}
-
-TEST(Reconcile, MissingAttrRowsIsARegression) {
-  const AttrDoc empty = attr_from(
-      R"({"schema": "acp-attr/1", "type": "header", "bench": "fig6", "seed": 1, "quick": true})");
-  EXPECT_FALSE(reconcile_attribution(empty, reconcile_bench()).ok());
-}
-
 }  // namespace
 }  // namespace acp::tracecli

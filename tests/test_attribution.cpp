@@ -118,20 +118,6 @@ TEST(Attribution, SaveRejectsUnwritablePath) {
   EXPECT_THROW(a.save("/nonexistent-dir/attr.jsonl", "b", "sha", 1, false), PreconditionError);
 }
 
-TEST(AttrWallScope, InertWithoutEnabledAttribution) {
-  { const AttrWallScope null_scope(nullptr, attr_phase::kProbe, 1); }
-  Attribution disabled;
-  { const AttrWallScope off_scope(&disabled, attr_phase::kProbe, 1); }
-  EXPECT_EQ(disabled.row_count(), 0u);
-
-  Attribution on;
-  on.set_enabled(true);
-  { const AttrWallScope scope(&on, attr_phase::kRank, 9); }
-  const Attribution::HostCell& cell = on.host_rows().at({attr_phase::kRank, 9});
-  EXPECT_EQ(cell.count, 1u);
-  EXPECT_GE(cell.wall_s, 0.0);
-}
-
 // ---- Engine queue-wait decomposition -------------------------------------------
 
 TEST(EngineWaitAttribution, TaggedSchedulesDecomposeQueueWait) {

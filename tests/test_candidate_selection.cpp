@@ -72,7 +72,7 @@ TEST_F(SelectionFixture, RiskIncludesUpstreamVirtualLink) {
   ctx.current_node = 0;
   ctx.current_function = 0;
   ctx.edge_bw_kbps = 100.0;
-  const double link_delay = mesh->virtual_link_delay(0, 1);
+  const double link_delay = mesh->virtual_link_qos(0, 1).delay_ms;
   EXPECT_NEAR(risk_function(ctx, cands[0]), (10.0 + link_delay) / 1000.0, 1e-9);
 }
 

@@ -93,7 +93,7 @@ TEST_F(CgFixture, PathQosSumsComponentsAndLinks) {
   ASSERT_EQ(paths.size(), 1u);
   const auto q = g.path_qos(*sys, paths[0]);
   const double expected_delay =
-      30.0 + mesh->virtual_link_delay(0, 1) + mesh->virtual_link_delay(1, 2);
+      30.0 + mesh->virtual_link_qos(0, 1).delay_ms + mesh->virtual_link_qos(1, 2).delay_ms;
   EXPECT_NEAR(q.delay_ms(), expected_delay, 1e-9);
   EXPECT_NEAR(q.loss_probability(), 0.0, 1e-12);
 }

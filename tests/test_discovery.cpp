@@ -29,7 +29,7 @@ struct DiscoveryFixture : ::testing::Test {
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::ComponentId c0{}, c1{};
 };
 
@@ -45,8 +45,7 @@ TEST_F(DiscoveryFixture, LookupsAreCounted) {
   reg.lookup(2);
   reg.lookup(1);
   reg.lookup(2);
-  EXPECT_EQ(reg.lookups_performed(), 3u);
-  EXPECT_EQ(counters.total(sim::counter::kDiscovery), 3u);
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kDiscoveryLookups), 3u);
 }
 
 TEST_F(DiscoveryFixture, LatencyDrawnFromConfiguredRange) {

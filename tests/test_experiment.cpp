@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/probing_composers.h"
@@ -163,6 +164,49 @@ TEST(Experiment, CandidateDensityScalesWithNodeCount) {
   EXPECT_EQ(dep_large.sys->component_count(), 2 * dep_small.sys->component_count());
 }
 
+// Observability must not change what a run measures. Detached, messages
+// count into a run-local registry; attached, into the shared bundle, which
+// the first attached run below finds empty and the second finds holding the
+// first's counts; sharded, also into one registry per lane. The rates are
+// deltas from the warmup event either way, so every arm reads bit-equal.
+TEST(Experiment, AttachedRunsMeasureWhatDetachedRunsMeasure) {
+  const auto sys_cfg = small_system();
+  const auto fabric = build_fabric(sys_cfg);
+  fault::FaultPlan faults;
+  faults.node_crash_rate_per_min = 1.0;
+  faults.node_downtime_s = 30.0;
+  faults.probe_loss_prob = 0.05;
+  struct Arm {
+    Algorithm algorithm;
+    std::size_t shards;
+    bool faulty;
+  };
+  for (const Arm arm : {Arm{Algorithm::kAcp, 0, false}, Arm{Algorithm::kAcp, 2, false},
+                        Arm{Algorithm::kOptimal, 0, false}, Arm{Algorithm::kAcp, 2, true}}) {
+    SCOPED_TRACE(algorithm_name(arm.algorithm) + " shards=" + std::to_string(arm.shards) +
+                 (arm.faulty ? " with faults" : ""));
+    auto cfg = short_run(arm.algorithm);
+    cfg.warmup_minutes = 1.0;
+    cfg.shards = arm.shards;
+    if (arm.faulty) cfg.faults = faults;
+    const ExperimentResult detached = run_experiment(fabric, sys_cfg, cfg);
+    EXPECT_GT(detached.probe_rate_per_minute, 0.0);
+
+    obs::Observability bundle;
+    cfg.obs = &bundle;
+    for (int run = 0; run < 2; ++run) {
+      const ExperimentResult attached = run_experiment(fabric, sys_cfg, cfg);
+      EXPECT_EQ(attached.probe_rate_per_minute, detached.probe_rate_per_minute) << run;
+      EXPECT_EQ(attached.state_update_rate_per_minute, detached.state_update_rate_per_minute)
+          << run;
+      EXPECT_EQ(attached.overhead_per_minute, detached.overhead_per_minute) << run;
+      EXPECT_EQ(attached.success_rate, detached.success_rate) << run;
+      EXPECT_EQ(attached.mean_phi, detached.mean_phi) << run;
+    }
+    EXPECT_GT(bundle.metrics.counter_family_total(obs::metric::kProbeMessages), 0u);
+  }
+}
+
 // Conservation: no pool holds a transient record of a request once its
 // outcome is known, and after a full run plus teardown horizon every pool
 // drains back to full capacity with no live transient and no commit record
@@ -187,7 +231,7 @@ void check_conservation(const SystemConfig& sys_cfg, bool faults) {
   auto& sys = *dep.sys;
 
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::SessionTable sessions(sys);
   discovery::Registry registry(sys, counters);
   state::GlobalStateManager global_state(sys, engine, counters);

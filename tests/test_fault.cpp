@@ -121,7 +121,7 @@ struct FaultFixture : ::testing::Test {
   std::unique_ptr<discovery::Registry> registry;
   std::unique_ptr<state::GlobalStateManager> global_state;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::RequestId next_id = 1;
   std::vector<stream::FunctionId> chain;
 };

@@ -41,7 +41,7 @@ struct MigrationFixture : ::testing::Test {
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::ComponentId hot_many{}, hot_sole{};
 };
 
@@ -75,7 +75,7 @@ TEST_F(MigrationFixture, RoundMovesComponentsOffCongestedNodes) {
   const auto moves = mgr.run_round();
   EXPECT_GE(moves, 1u);
   EXPECT_EQ(mgr.total_moves(), moves);
-  EXPECT_EQ(counters.total(counter::kMigration), moves);
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kMigrationMoves), moves);
   // The component with the most alternative providers (fn 0) moved first;
   // the sole fn-1 provider stayed.
   EXPECT_NE(sys->component(hot_many).node, 0u);

@@ -1,5 +1,5 @@
 // Tests for the obs metrics registry: label identity, histogram bucket
-// boundaries, type claiming, and the JSON snapshot.
+// boundaries, type claiming, the JSON snapshot, and cached series handles.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -188,6 +188,71 @@ TEST(Gauge, TracksExtremes) {
   EXPECT_DOUBLE_EQ(g.value(), 2.0);
   EXPECT_DOUBLE_EQ(g.min(), -1.0);
   EXPECT_DOUBLE_EQ(g.max(), 5.0);
+}
+
+// ---- Cached series handles -------------------------------------------------
+
+TEST(MetricHandles, NoSeriesExistsBeforeTheFirstWrite) {
+  MetricsRegistry reg;
+  CounterHandle c(&reg, "acp.test.count");
+  GaugeHandle g(&reg, "acp.test.gauge");
+  HistogramHandle h(&reg, "acp.test.hist", {1.0, 2.0});
+  EXPECT_EQ(reg.series_count(), 0u);
+  EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(reg.series_count(), 0u);  // reading does not create either
+  h.observe(1.5);
+  g.set(3.0);
+  ASSERT_NE(reg.find_histogram("acp.test.hist"), nullptr);
+  EXPECT_EQ(reg.find_histogram("acp.test.hist")->count(), 1u);
+  ASSERT_NE(reg.find_gauge("acp.test.gauge"), nullptr);
+  EXPECT_DOUBLE_EQ(reg.find_gauge("acp.test.gauge")->value(), 3.0);
+  EXPECT_EQ(reg.find_counter("acp.test.count"), nullptr);
+}
+
+TEST(MetricHandles, AddOfZeroCreatesTheSeries) {
+  MetricsRegistry reg;
+  CounterHandle c(&reg, "acp.test.count");
+  c.add(0);
+  const Counter* series = reg.find_counter("acp.test.count");
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->value(), 0u);
+  std::ostringstream os;
+  reg.write_json(os);
+  EXPECT_NE(os.str().find(R"("name": "acp.test.count")"), std::string::npos);
+}
+
+TEST(MetricHandles, LabelledHandlesHitTheirOwnSeries) {
+  MetricsRegistry reg;
+  CounterHandle timeout(&reg, "acp.test.deaths", {{"reason", "timeout"}});
+  CounterHandle lost(&reg, "acp.test.deaths", {{"reason", "lost"}});
+  timeout.add(2);
+  lost.add();
+  timeout.add();
+  EXPECT_EQ(reg.find_counter("acp.test.deaths", {{"reason", "timeout"}})->value(), 3u);
+  EXPECT_EQ(reg.find_counter("acp.test.deaths", {{"reason", "lost"}})->value(), 1u);
+  EXPECT_EQ(reg.counter_family_total("acp.test.deaths"), 4u);
+  // A handle and a by-name call share one series.
+  reg.counter("acp.test.deaths", {{"reason", "lost"}}).add(5);
+  EXPECT_EQ(lost.value(), 6u);
+}
+
+TEST(MetricHandles, ValueReadsTheCount) {
+  MetricsRegistry reg;
+  CounterHandle writer(&reg, "acp.test.count");
+  const CounterHandle reader(&reg, "acp.test.count");
+  writer.add(7);
+  EXPECT_EQ(writer.value(), 7u);
+  EXPECT_EQ(reader.value(), 7u);  // resolved elsewhere, still read
+}
+
+TEST(MetricHandles, NullRegistryHandlesAreInert) {
+  CounterHandle c(nullptr, "acp.test.count");
+  c.add(3);
+  EXPECT_EQ(c.value(), 0u);
+  HistogramHandle h(nullptr, "acp.test.hist", {1.0});
+  h.observe(1.0);
+  GaugeHandle g;
+  g.set(1.0);
 }
 
 }  // namespace

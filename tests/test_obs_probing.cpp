@@ -106,7 +106,7 @@ struct ObsProbingFixture : ::testing::Test {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   obs::Observability obs;
   std::ostringstream trace_sink;
   stream::RequestId next_request_id = 1;

@@ -1,10 +1,12 @@
-// Tests for the wall-clock profiling scopes (obs/profile.h) and the
-// abnormal-exit guard hooks (obs/guard.h).
+// Tests for the wall-clock profiling scopes (obs/profile.h), including the
+// attribution host rows they feed, and the abnormal-exit guard hooks
+// (obs/guard.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/attribution.h"
 #include "obs/guard.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -55,6 +57,38 @@ TEST(Profiler, DetachedProfilerYieldsInertSlots) {
   // this unconditionally).
   ProfScope s(slot);
   ProfScope s2(ProfSlot{});
+}
+
+TEST(ProfScope, ChargesItsOneWallTimeToEnabledAttribution) {
+  MetricsRegistry reg;
+  const ProfSlot slot = Profiler(&reg).scope("test.scope");
+  Attribution attr;
+  attr.set_enabled(true);
+  { const ProfScope s(slot, &attr, attr_phase::kRank, 9); }
+  const Histogram* h = reg.find_histogram(metric::kProfWall, {{"scope", "test.scope"}});
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
+  ASSERT_EQ(attr.host_rows().size(), 1u);
+  const Attribution::HostCell& cell = attr.host_rows().at({attr_phase::kRank, 9});
+  EXPECT_EQ(cell.count, 1u);
+  EXPECT_EQ(cell.wall_s, h->sum());  // one clock reading feeds both
+}
+
+TEST(ProfScope, DisabledAttributionGetsNoHostRow) {
+  MetricsRegistry reg;
+  const ProfSlot slot = Profiler(&reg).scope("test.scope");
+  Attribution attr;
+  { const ProfScope s(slot, &attr, attr_phase::kProbe, 1); }
+  { const ProfScope s(slot, nullptr, attr_phase::kProbe, 1); }
+  EXPECT_EQ(reg.find_histogram(metric::kProfWall, {{"scope", "test.scope"}})->count(), 2u);
+  EXPECT_EQ(attr.row_count(), 0u);
+}
+
+TEST(ProfScope, DetachedObservabilityWritesNeither) {
+  Attribution attr;
+  attr.set_enabled(true);
+  { const ProfScope s(Profiler(nullptr).scope("test.scope"), &attr, attr_phase::kFinalize, 3); }
+  EXPECT_EQ(attr.row_count(), 0u);
 }
 
 TEST(Profiler, AllocationCountingDisabledByDefault) {

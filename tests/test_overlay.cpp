@@ -90,13 +90,13 @@ TEST_F(OverlayFixture, VirtualLinkDelayMatchesPathSum) {
     for (OverlayNodeIndex b = 0; b < mesh->node_count(); ++b) {
       double sum = 0;
       for (OverlayLinkIndex l : mesh->virtual_link_path(a, b)) sum += mesh->link(l).delay_ms;
-      EXPECT_NEAR(mesh->virtual_link_delay(a, b), sum, 1e-9);
+      EXPECT_DOUBLE_EQ(mesh->virtual_link_qos(a, b).delay_ms, sum);
     }
   }
 }
 
 TEST_F(OverlayFixture, CoLocationHasZeroDelay) {
-  EXPECT_DOUBLE_EQ(mesh->virtual_link_delay(7, 7), 0.0);
+  EXPECT_DOUBLE_EQ(mesh->virtual_link_qos(7, 7).delay_ms, 0.0);
 }
 
 TEST_F(OverlayFixture, ClosestMemberIsAMemberAndOptimal) {

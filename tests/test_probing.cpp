@@ -80,7 +80,7 @@ struct ProbingFixture : ::testing::Test {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   stream::RequestId next_request_id = 1;
   std::vector<stream::FunctionId> chain;
 };
@@ -142,15 +142,16 @@ TEST_F(ProbingFixture, CallbackFiresExactlyOnce) {
 }
 
 TEST_F(ProbingFixture, ProbeMessagesScaleWithAlpha) {
+  const auto probes = [this] { return counters.counter_family_total(obs::metric::kProbeMessages); };
   const auto r1 = make_request();
-  counters.begin_window(engine.now());
+  const auto before_low = probes();
   run(r1, 0.25);
-  const auto low = counters.window_count(sim::counter::kProbe);
+  const auto low = probes() - before_low;
 
   const auto r2 = make_request();
-  counters.begin_window(engine.now());
+  const auto before_high = probes();
   run(r2, 1.0);
-  const auto high = counters.window_count(sim::counter::kProbe);
+  const auto high = probes() - before_high;
   EXPECT_GT(high, low);
 }
 
@@ -233,21 +234,22 @@ TEST_F(ProbingFixture, ComposerWrappersReportNames) {
 TEST_F(ProbingFixture, AlphaProviderIsConsultedPerRequest) {
   double alpha = 0.25;
   AcpComposer acp(*protocol, [&alpha] { return alpha; });
+  const auto probes = [this] { return counters.counter_family_total(obs::metric::kProbeMessages); };
   const auto r1 = make_request();
-  counters.begin_window(engine.now());
+  const auto before_low = probes();
   std::optional<CompositionOutcome> out;
   acp.compose(r1, [&](const CompositionOutcome& o) { out = o; });
   engine.run_until(engine.now() + 60.0);
-  const auto low = counters.window_count(sim::counter::kProbe);
+  const auto low = probes() - before_low;
   ASSERT_TRUE(out.has_value());
 
   alpha = 1.0;  // provider change must take effect on the next request
   const auto r2 = make_request();
-  counters.begin_window(engine.now());
+  const auto before_high = probes();
   out.reset();
   acp.compose(r2, [&](const CompositionOutcome& o) { out = o; });
   engine.run_until(engine.now() + 60.0);
-  EXPECT_GT(counters.window_count(sim::counter::kProbe), low);
+  EXPECT_GT(probes() - before_high, low);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ struct World {
   std::unique_ptr<state::GlobalStateManager> global_state;
   std::unique_ptr<ProbingProtocol> protocol;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
   std::vector<stream::FunctionId> chain;
 };
 
@@ -173,13 +173,12 @@ TEST_P(AlphaSweep, ProbeCostGrowsMonotonicallyWithAlphaOnIdleSystem) {
   World w(7);
   const double alpha = GetParam();
   const auto req = w.make_request(1);
-  w.counters.begin_window(w.engine.now());
   std::optional<CompositionOutcome> out;
   w.protocol->execute(req, alpha, PerHopPolicy::kGuided, SelectionPolicy::kBestPhi,
                       [&](const CompositionOutcome& o) { out = o; });
   w.engine.run_until(60.0);
   ASSERT_TRUE(out.has_value());
-  const auto probes = w.counters.window_count(sim::counter::kProbe);
+  const auto probes = w.counters.counter_family_total(obs::metric::kProbeMessages);
   // M = ceil(alpha * 4) per hop over a 3-function path, plus returns: the
   // probe count is bounded by the full tree and at least one per level.
   EXPECT_GE(probes, 3u);

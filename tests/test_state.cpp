@@ -33,7 +33,7 @@ struct StateFixture : ::testing::Test {
   std::unique_ptr<net::OverlayMesh> mesh;
   std::unique_ptr<stream::StreamSystem> sys;
   sim::Engine engine;
-  sim::CounterSet counters;
+  obs::MetricsRegistry counters;
 };
 
 TEST_F(StateFixture, StartSeedsFromGroundTruth) {
@@ -50,7 +50,7 @@ TEST_F(StateFixture, SmallChangesAreFilteredOut) {
   // 5% change: below the 10% threshold — no update message, stale view.
   ASSERT_TRUE(sys->commit_node_direct(1, 2, stream::ResourceVector(5.0, 50.0), 0.0));
   mgr.run_check_sweep();
-  EXPECT_EQ(counters.total(sim::counter::kGlobalStateUpdate), 0u);
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kStateGlobalUpdates), 0u);
   EXPECT_DOUBLE_EQ(mgr.view().node_available(2, 0.0).cpu(), 100.0);  // stale
 }
 
@@ -61,7 +61,7 @@ TEST_F(StateFixture, SignificantChangesTriggerUpdate) {
   mgr.start();
   ASSERT_TRUE(sys->commit_node_direct(1, 2, stream::ResourceVector(20.0, 50.0), 0.0));
   mgr.run_check_sweep();
-  EXPECT_EQ(counters.total(sim::counter::kGlobalStateUpdate), 1u);
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kStateGlobalUpdates), 1u);
   EXPECT_DOUBLE_EQ(mgr.view().node_available(2, 0.0).cpu(), 80.0);  // fresh
 }
 
@@ -76,7 +76,7 @@ TEST_F(StateFixture, LinkUpdatesFlowThroughAggregationPublish) {
 
   mgr.run_check_sweep();
   // The owner reported to the aggregation node…
-  EXPECT_EQ(counters.total(sim::counter::kAggregationUpdate), 1u);
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kStateAggregationUpdates), 1u);
   // …but the published global copy is only refreshed at the next publish.
   EXPECT_DOUBLE_EQ(mgr.view().link_available_kbps(l, 0.0), cap);
   mgr.run_publish();
@@ -144,7 +144,7 @@ TEST_F(StateFixture, RefreshMessagesCountedOnlyWhenEnabled) {
   cfg.count_messages = true;
   LocalStateManager mgr(*sys, engine, counters, cfg);
   mgr.start();
-  EXPECT_GT(counters.total(sim::counter::kLocalRefresh), 0u);
+  EXPECT_GT(counters.counter_family_total(obs::metric::kStateLocalRefresh), 0u);
 }
 
 }  // namespace

@@ -74,8 +74,9 @@ TEST(Torus, StaircaseWalkIsAValidShortestPath) {
       }
       ASSERT_EQ(here, b);
       // Delay = hops × uniform link delay, and symmetric.
-      ASSERT_DOUBLE_EQ(mesh.virtual_link_delay(a, b), 2.0 * static_cast<double>(path.size()));
-      ASSERT_DOUBLE_EQ(mesh.virtual_link_delay(a, b), mesh.virtual_link_delay(b, a));
+      ASSERT_DOUBLE_EQ(mesh.virtual_link_qos(a, b).delay_ms,
+                       2.0 * static_cast<double>(path.size()));
+      ASSERT_DOUBLE_EQ(mesh.virtual_link_qos(a, b).delay_ms, mesh.virtual_link_qos(b, a).delay_ms);
     }
   }
 }
@@ -141,7 +142,7 @@ TEST(Torus, FiftyThousandNodeWorldBuildsInstantly) {
   EXPECT_EQ(mesh.link_count(), 102400u);
   const OverlayNodeIndex antipode = 100u * 256u + 128u;  // (100, 128) from (0, 0)
   EXPECT_EQ(mesh.virtual_link_hops(0, antipode), 100u + 128u);
-  EXPECT_DOUBLE_EQ(mesh.virtual_link_delay(0, antipode), 228.0);
+  EXPECT_DOUBLE_EQ(mesh.virtual_link_qos(0, antipode).delay_ms, 228.0);
   EXPECT_EQ(mesh.virtual_link_hops(0, 51199u), 2u);  // corner wraps both axes
 }
 

@@ -1435,88 +1435,4 @@ ExportStats export_attribution_folded(std::ostream& os, const AttrDoc& attr) {
   return st;
 }
 
-// ---- reconcile: attribution vs BENCH profiler scopes ----------------------------
-
-namespace {
-
-struct PhaseScope {
-  const char* phase;
-  const char* scope;
-};
-
-/// Phases whose AttrWallScope sits at the same call site as a ProfScope —
-/// the pairs reconcile_attribution can hold to exact-count agreement.
-constexpr PhaseScope kPhaseScopes[] = {
-    {"probe", "probing.process_probe"},
-    {"rank", "probing.rank_candidates"},
-    {"finalize", "probing.finalize"},
-};
-
-}  // namespace
-
-DiffResult reconcile_attribution(const AttrDoc& attr, const BenchDoc& bench,
-                                 double max_wall_ratio) {
-  DiffResult res;
-  if (!attr.bench.empty() && !bench.name.empty() && attr.bench != bench.name) {
-    res.notes.push_back("comparing different benches: " + attr.bench + " vs " + bench.name);
-  }
-  if (attr.rows.empty()) {
-    res.regressions.push_back("attribution artifact has no deterministic attr rows");
-  }
-
-  std::map<std::string, std::pair<std::uint64_t, double>> host;  // phase → (count, wall_s)
-  for (const AttrDoc::Host& h : attr.host) {
-    host[h.phase].first += h.count;
-    host[h.phase].second += h.wall_s;
-  }
-
-  for (const PhaseScope& ps : kPhaseScopes) {
-    const auto sc = bench.scopes.find(ps.scope);
-    const auto at = host.find(ps.phase);
-    const std::uint64_t scope_count = sc == bench.scopes.end() ? 0 : sc->second.count;
-    const std::uint64_t attr_count = at == host.end() ? 0 : at->second.first;
-    if (scope_count == 0 && attr_count == 0) {
-      res.notes.push_back(std::string(ps.phase) + ": absent on both sides (skipped)");
-      continue;
-    }
-    if (attr_count != scope_count) {
-      res.regressions.push_back(std::string(ps.phase) + ": attribution counted " +
-                                std::to_string(attr_count) + " but scope " + ps.scope +
-                                " counted " + std::to_string(scope_count));
-      continue;
-    }
-    const double scope_s = sc->second.total_s;
-    const double attr_s = at->second.second;
-    // Wall clocks of adjacent RAII scopes agree up to instrumentation
-    // overhead — ratio-gate, and skip scopes too cheap to time reliably.
-    if (scope_s >= 0.005 && attr_s > 0.0) {
-      const double ratio = std::max(attr_s / scope_s, scope_s / attr_s);
-      if (ratio > max_wall_ratio) {
-        res.regressions.push_back(std::string(ps.phase) + ": wall disagrees with " + ps.scope +
-                                  ": " + fmt(attr_s) + " s vs " + fmt(scope_s) + " s (ratio " +
-                                  fmt(ratio) + " > " + fmt(max_wall_ratio) + ")");
-        continue;
-      }
-    }
-    res.notes.push_back(std::string(ps.phase) + ": " + std::to_string(attr_count) +
-                        " occurrences, wall " + fmt(attr_s) + " s vs scope " + fmt(scope_s) +
-                        " s — reconciled");
-  }
-  return res;
-}
-
-void write_reconcile(std::ostream& os, const AttrDoc& attr, const BenchDoc& bench,
-                     const DiffResult& result) {
-  os << "reconcile: " << attr.bench << " (seed " << attr.seed << ") vs BENCH " << bench.name
-     << "\n";
-  os << "attribution: " << attr.rows.size() << " attr rows, " << attr.waits.size()
-     << " wait rows, " << attr.host.size() << " host rows\n";
-  for (const std::string& n : result.notes) os << "note: " << n << "\n";
-  if (result.ok()) {
-    os << "OK: attribution reconciles with profiler scopes\n";
-  } else {
-    for (const std::string& r : result.regressions) os << "REGRESSION: " << r << "\n";
-  }
-}
-
 }  // namespace acp::tracecli

@@ -400,18 +400,4 @@ AttrDoc load_attribution_file(const std::string& path);
 /// (e.g. rank). Complements export_folded_stacks in one flamegraph input.
 ExportStats export_attribution_folded(std::ostream& os, const AttrDoc& attr);
 
-/// Reconciles an attribution artifact against the BENCH report of the SAME
-/// run: for each protocol phase with a profiler-scope counterpart (probe ↔
-/// probing.process_probe, rank ↔ probing.rank_candidates, finalize ↔
-/// probing.finalize) the attr_host row counts summed over nodes must equal
-/// the scope count EXACTLY (both sides count the same call sites), and the
-/// summed wall seconds must agree within `max_wall_ratio` (instrumentation
-/// overhead differs slightly, so this is ratio-gated and skipped for scopes
-/// cheaper than a few ms). CI runs this so attribution can never silently
-/// drift from what the profiler measures.
-DiffResult reconcile_attribution(const AttrDoc& attr, const BenchDoc& bench,
-                                 double max_wall_ratio = 4.0);
-void write_reconcile(std::ostream& os, const AttrDoc& attr, const BenchDoc& bench,
-                     const DiffResult& result);
-
 }  // namespace acp::tracecli

@@ -38,11 +38,6 @@
 //       appends per-phase cost stacks from an --attribution-out artifact
 //       to the folded output.
 //
-//   acptrace reconcile <attr.jsonl> <BENCH.json> [--max-wall-ratio=R]
-//       Cross-checks an --attribution-out artifact against the BENCH
-//       report of the same run: per-phase counts must equal the profiler
-//       scope counts exactly; wall time must agree within the ratio.
-//
 // Exit codes: 0 ok, 1 violations/regressions/no-match found, 2 usage or
 // I/O error, 3 baseline missing/unparseable (diff only — lets CI
 // distinguish "perf regressed" from "no baseline to compare against").
@@ -75,7 +70,6 @@ int usage() {
                "       acptrace explain <trace.jsonl> (--req=N | --session=N) [--run=N]\n"
                "       acptrace export <trace.jsonl> [--chrome=OUT.json] [--folded=OUT]\n"
                "           [--attribution=ATTR.jsonl]\n"
-               "       acptrace reconcile <attr.jsonl> <BENCH.json> [--max-wall-ratio=R]\n"
                "exit codes: 0 ok; 1 violations, regressions, or no matching request;\n"
                "            2 usage or I/O error; 3 baseline missing/unparseable (diff)\n");
   return 2;
@@ -199,16 +193,6 @@ int cmd_export(const std::vector<std::string>& paths, util::Flags& flags) {
   return 0;
 }
 
-int cmd_reconcile(const std::vector<std::string>& paths, util::Flags& flags) {
-  if (paths.size() != 2) return usage();
-  const auto attr = tracecli::load_attribution_file(paths[0]);
-  const auto bench = tracecli::load_bench_file(paths[1]);
-  const auto result = tracecli::reconcile_attribution(
-      attr, bench, flags.get_double("max-wall-ratio", 4.0));
-  tracecli::write_reconcile(std::cout, attr, bench, result);
-  return result.ok() ? 0 : 1;
-}
-
 int cmd_timeline(const std::vector<std::string>& paths, util::Flags& flags) {
   if (paths.size() != 1) return usage();
   const auto data = tracecli::load_timeline_file(paths[0]);
@@ -236,7 +220,6 @@ int main(int argc, char** argv) {
     if (cmd == "timeline") return cmd_timeline(paths, flags);
     if (cmd == "explain") return cmd_explain(paths, flags);
     if (cmd == "export") return cmd_export(paths, flags);
-    if (cmd == "reconcile") return cmd_reconcile(paths, flags);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "acptrace: %s\n", e.what());
