@@ -94,8 +94,8 @@ struct BenchOptions {
 };
 
 /// Parses the shared flags from an existing Flags instance — benches with
-/// extra flags (e.g. chaos_suite) read their own first, then delegate here;
-/// unknown-flag warnings fire once, covering both sets.
+/// extra flags (e.g. chaos_suite) read their own first, then delegate here.
+/// A flag neither set reads exits with status 2 before any trial runs.
 inline BenchOptions parse_options(util::Flags& flags) {
   BenchOptions opt;
   opt.quick = flags.get_bool("quick", false);
@@ -119,14 +119,12 @@ inline BenchOptions parse_options(util::Flags& flags) {
   } else {
     opt.bench_out = bench_out;
   }
+  flags.exit_on_unknown_flags();
   util::Flags::require_writable_path("trace-out", opt.trace_out);
   util::Flags::require_writable_path("timeline-out", opt.timeline_out);
   util::Flags::require_writable_path("metrics-out", opt.metrics_out);
   util::Flags::require_writable_path("attribution-out", opt.attribution_out);
   if (!opt.bench_out.empty()) util::Flags::require_writable_path("bench-out", opt.bench_out);
-  for (const auto& f : flags.unknown_flags()) {
-    std::fprintf(stderr, "warning: unknown flag --%s\n", f.c_str());
-  }
   return opt;
 }
 

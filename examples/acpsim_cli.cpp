@@ -34,6 +34,7 @@
 //   --sample-interval S timeline sample interval in sim seconds       [30]
 //   --metrics-out PATH save end-of-run metrics snapshot as JSON
 //   --report           print a human-readable metrics report
+// Any other flag is an error: it is named with the flags above, exit 2.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -103,6 +104,7 @@ int main(int argc, char** argv) {
   const double sample_interval_s = flags.get_double("sample-interval", 30.0);
   const std::string metrics_out = flags.get_string("metrics-out", "");
   const bool report = flags.get_bool("report", false);
+  flags.exit_on_unknown_flags();
   util::Flags::require_writable_path("trace-out", trace_out);
   util::Flags::require_writable_path("timeline-out", timeline_out);
   util::Flags::require_writable_path("metrics-out", metrics_out);
@@ -157,11 +159,6 @@ int main(int argc, char** argv) {
       std::printf("(saved %llu timeline rows to %s)\n", n, timeline_out.c_str());
     }
   };
-
-  for (const auto& unknown : flags.unknown_flags()) {
-    std::fprintf(stderr, "warning: unknown flag --%s (see header comment for usage)\n",
-                 unknown.c_str());
-  }
 
   std::printf("acpsim: %s on %zu nodes (%zu-host IP net), %.0f min",
               exp::algorithm_name(cfg.algorithm).c_str(), sys_cfg.overlay.member_count,

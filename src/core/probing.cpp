@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/claim_ledger.h"
+
 namespace acp::core {
 
 using stream::ComponentId;
@@ -57,23 +59,9 @@ struct ProbingProtocol::Coordinator {
   util::Rng rng{0};          ///< request-derived: selection + fault draws
   std::uint64_t next_probe_id = 0;
   /// Admissions this request's probes made against window-frozen pool
-  /// state, pending application at the barrier. A claim is recorded once
-  /// per (pool, tag) — mirroring the pools' one-reservation-per-(request,
-  /// tag) dedupe — and never expires within the cascade (TTL 60 s vs a
-  /// ≤ 10 s probe deadline), so "frozen available minus other-tag claims"
-  /// reproduces the serial admission arithmetic exactly.
-  struct NodeClaim {
-    NodeId node;
-    std::uint32_t tag;
-    stream::ResourceVector amount;
-  };
-  struct LinkClaim {
-    net::OverlayLinkIndex link;
-    std::uint32_t tag;
-    double kbps;
-  };
-  util::SmallVec<NodeClaim, 16> node_claims;
-  util::SmallVec<LinkClaim, 32> link_claims;
+  /// state, pending application at the barrier. Freed at finalize: no
+  /// admission follows it, and the commit op reads none of them.
+  std::unique_ptr<ClaimLedger> claims;
 };
 
 ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions,
@@ -186,23 +174,11 @@ bool ProbingProtocol::admit_node(Coordinator& coord, std::uint32_t tag, NodeId n
   if (shard_ == nullptr) {
     return sys_->reserve_node_transient(rid, tag, node, amount, now, expires_at);
   }
+  if (!coord.claims->admit_node(tag, node, amount, now)) return false;
   stream::StreamSystem* sys = sys_;
-  const auto apply = [sys, rid, tag, node, amount, now, expires_at] {
+  shard_->push_op([sys, rid, tag, node, amount, now, expires_at] {
     sys->force_reserve_node_transient(rid, tag, node, amount, now, expires_at);
-  };
-  for (const auto& rec : coord.node_claims) {
-    if (rec.node == node && rec.tag == tag) {
-      shard_->push_op(apply);  // duplicate (request, tag): refresh the expiry
-      return true;
-    }
-  }
-  stream::ResourceVector avail = sys_->node_pool(node).available_excluding(now, rid);
-  for (const auto& rec : coord.node_claims) {
-    if (rec.node == node && rec.tag != tag) avail -= rec.amount;
-  }
-  if (!stream::pool_fits(amount, avail)) return false;
-  coord.node_claims.push_back({node, tag, amount});
-  shard_->push_op(apply);
+  });
   return true;
 }
 
@@ -213,28 +189,7 @@ bool ProbingProtocol::admit_link(Coordinator& coord, std::uint32_t tag, NodeId a
     return sys_->reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at);
   }
   if (a == b) return true;
-  // All-or-nothing across the virtual link's overlay links, like the serial
-  // reserve: admit every link against the frozen view (minus this request's
-  // own other-tag claims) before recording anything.
-  bool ok = true;
-  util::SmallVec<net::OverlayLinkIndex, 16> fresh;
-  sys_->mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-    if (!ok) return;
-    for (const auto& rec : coord.link_claims) {
-      if (rec.link == l && rec.tag == tag) return;  // already claimed: refresh
-    }
-    double avail = sys_->link_pool(l).available_excluding(now, rid);
-    for (const auto& rec : coord.link_claims) {
-      if (rec.link == l && rec.tag != tag) avail -= rec.kbps;
-    }
-    if (!stream::pool_fits(kbps, avail)) {
-      ok = false;
-      return;
-    }
-    fresh.push_back(l);
-  });
-  if (!ok) return false;
-  for (const net::OverlayLinkIndex l : fresh) coord.link_claims.push_back({l, tag, kbps});
+  if (!coord.claims->admit_link(tag, a, b, kbps, now)) return false;
   stream::StreamSystem* sys = sys_;
   shard_->push_op([sys, rid, tag, a, b, kbps, now, expires_at] {
     sys->force_reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at);
@@ -348,6 +303,7 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
     // every draw and every trace field is shard-count-invariant.
     coord->stream = static_cast<std::uint32_t>(req.id) + 1;
     coord->rng = util::Rng(util::stream_seed(seed_base_, req.id));
+    coord->claims = std::make_unique<ClaimLedger>(*sys_, req.id);
     shard_->open_stream(coord->stream, coord->deputy);
   }
 
@@ -647,6 +603,7 @@ void ProbingProtocol::probe_ended(const std::shared_ptr<Coordinator>& coord) {
 void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
   if (coord->finalized) return;
   coord->finalized = true;
+  coord->claims.reset();
   // Probes still in flight at the deadline die with the coordinator; late
   // arrivals bail out before any accounting, so settle theirs here.
   ACP_ASSERT(live_probes_ >= coord->outstanding);

@@ -189,9 +189,9 @@ class ProbingProtocol : public ProbingExecutor {
   sim::EventId sched(const std::shared_ptr<Coordinator>& coord, double delay,
                      std::function<void()> cb, const char* tag);
   std::uint64_t new_probe_id(Coordinator& coord);
-  /// Transient node admission: serial = reserve_node_transient; sharded =
-  /// fit check against frozen pools minus the request's own pending claims,
-  /// reservation deferred as a force_reserve op.
+  /// Transient admission: serial = reserve_*_transient; sharded = the
+  /// request's ClaimLedger (fit check against frozen pools minus its own
+  /// pending claims), reservation deferred as a force_reserve op.
   bool admit_node(Coordinator& coord, std::uint32_t tag, stream::NodeId node,
                   const stream::ResourceVector& amount, double now, double expires_at);
   bool admit_link(Coordinator& coord, std::uint32_t tag, stream::NodeId a, stream::NodeId b,

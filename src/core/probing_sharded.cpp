@@ -15,7 +15,7 @@ void ShardedProbing::execute(const workload::Request& req, double alpha, PerHopP
                              std::function<void(const CompositionOutcome&)> done) {
   // Route by the owner of the request's deputy — the same key the engine
   // uses to pin the request's stream, so the executing instance and the
-  // executing worker always coincide.
+  // executing lane always coincide.
   const stream::NodeId deputy = instances_.front()->deputy_for(req.client_ip);
   const std::size_t shard = plan_->owner(deputy);
   instances_[shard]->execute(req, alpha, hop_policy, selection_policy, std::move(done));

@@ -5,7 +5,7 @@
 // observability capture — and routes every request to the instance owning
 // the request's deputy node under the engine's hashed ShardPlan. The
 // instance-per-shard split is what makes the shard phase thread-safe
-// without locks: all events of a request run on the owner shard's worker,
+// without locks: all events of a request run on the owner lane's thread,
 // so an instance's mutable state (arena, live-probe tally, coordinator
 // bookkeeping) is only ever touched by one thread per phase.
 #pragma once

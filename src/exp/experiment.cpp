@@ -158,6 +158,7 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   core::ProbingExecutor* executor = &protocol;
   if (sharded) {
     sim::ShardedEngine* se = shard_eng.get();
+    if (obs != nullptr) se->set_phase_profiler(&obs->metrics);
     std::vector<core::ProbingProtocol*> instance_ptrs;
     for (std::size_t i = 0; i < config.shards; ++i) {
       obs::Observability* cap_obs = nullptr;

@@ -131,6 +131,11 @@ inline constexpr const char* kProfAllocs = "acp.prof.allocs"; ///< label: scope
 /// on spelling.
 namespace prof_scope {
 inline constexpr const char* kSimDispatch = "sim.dispatch";
+// Windowed-engine phases (sim/sharded_engine.h).
+inline constexpr const char* kSimLaneDrain = "sim.lane_drain";
+inline constexpr const char* kSimWindowSlowestLane = "sim.window_slowest_lane";
+inline constexpr const char* kSimBarrierWait = "sim.barrier_wait";
+inline constexpr const char* kSimApply = "sim.apply";
 inline constexpr const char* kProbingProcess = "probing.process_probe";
 inline constexpr const char* kProbingRank = "probing.rank_candidates";
 inline constexpr const char* kProbingFinalize = "probing.finalize";

@@ -1,13 +1,15 @@
 // Window barrier for the sharded PDES engine.
 //
 // The coordinator opens a time window; every shard worker drains its lane
-// up to the window end, then reports done; the coordinator waits for all of
-// them before applying deferred ops and advancing the global lane. One
-// mutex guards the whole exchange — windows are hundreds of sim-seconds of
-// work per worker, so barrier cost is noise — and, importantly, the mutex
-// gives every cross-phase memory access a happens-before edge: workers only
-// touch shared structures (pools, registries, stream tables) between
-// open_window and worker_done, coordinators only outside that span.
+// up to the window end, then reports done, while the coordinator drains
+// lane 0 itself; the coordinator then waits for all workers before
+// applying deferred ops and advancing the global lane. One mutex guards the
+// whole exchange — windows are hundreds of sim-seconds of work per worker,
+// so barrier cost is noise — and, importantly, the mutex gives every
+// cross-phase memory access a happens-before edge: workers only touch
+// shared structures (pools, registries, stream tables) between open_window
+// and worker_done, coordinators only outside that span (lane 0 aside, which
+// no worker touches).
 #pragma once
 
 #include <condition_variable>
@@ -19,6 +21,8 @@ namespace acp::sim {
 
 class PhaseBarrier {
  public:
+  /// `workers` threads report per window; 0 is valid (the coordinator
+  /// drains the only lane and never waits).
   explicit PhaseBarrier(std::size_t workers) : workers_(workers) {}
 
   /// Coordinator: releases all workers to drain events with at <= `end`.
@@ -43,14 +47,14 @@ class PhaseBarrier {
     cv_workers_.notify_all();
   }
 
-  /// Worker: blocks until the next window opens (returning its end time)
-  /// or shutdown (returning false).
-  bool wait_for_window(double& end) {
+  /// Worker: blocks until a window newer than `seen` opens (returning its
+  /// end time and updating `seen`) or shutdown (returning false). Each
+  /// worker keeps its own `seen`, starting at 0.
+  bool wait_for_window(std::uint64_t& seen, double& end) {
     std::unique_lock<std::mutex> lk(m_);
-    const std::uint64_t seen = last_seen_generation_;
     cv_workers_.wait(lk, [&] { return stop_ || generation_ != seen; });
     if (stop_) return false;
-    last_seen_generation_ = generation_;
+    seen = generation_;
     end = window_end_;
     return true;
   }
@@ -71,12 +75,6 @@ class PhaseBarrier {
   std::uint64_t generation_ = 0;
   double window_end_ = 0.0;
   bool stop_ = false;
-
-  // Workers read their own copy of the generation under the lock; a
-  // thread_local would break with multiple engines on one process.
-  static thread_local std::uint64_t last_seen_generation_;
 };
-
-inline thread_local std::uint64_t PhaseBarrier::last_seen_generation_ = 0;
 
 }  // namespace acp::sim

@@ -73,8 +73,8 @@ class ShardHost {
  public:
   virtual ~ShardHost() = default;
 
-  /// Current simulated time: the executing event's timestamp on a shard
-  /// worker, the global lane's clock on the coordinator.
+  /// Current simulated time: the executing event's timestamp during a lane
+  /// drain, the global lane's clock otherwise.
   virtual double now() const = 0;
 
   /// Declares `stream` (>= 1) and pins it to owner(owner_key)'s shard.
@@ -83,14 +83,14 @@ class ShardHost {
 
   /// Schedules `cb` at absolute time `at` on `stream`'s lane. Returns a
   /// handle valid for cancel_stream. Callable from the coordinator (apply
-  /// phase) or from the worker that owns the stream (shard phase).
+  /// phase) or from the thread draining the stream's lane (shard phase).
   virtual std::uint64_t schedule_stream(std::uint32_t stream, double at,
                                         std::function<void()> cb, const char* tag) = 0;
 
   /// Cancels a pending stream event; false if it already fired.
   virtual bool cancel_stream(std::uint32_t stream, std::uint64_t id) = 0;
 
-  /// Defers `fn` to the apply phase. Must be called from a shard worker
+  /// Defers `fn` to the apply phase. Must be called from a lane drain
   /// while it executes a stream event; the op is keyed by that event's
   /// (at, order key) plus its push index, so application order is a pure
   /// function of the event population — never of worker interleaving.

@@ -1,6 +1,7 @@
 #include "sim/sharded_engine.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/observability.h"
 #include "util/logging.h"
@@ -10,7 +11,7 @@ namespace acp::sim {
 thread_local ShardedEngine::WorkerCtx ShardedEngine::tl_;
 
 ShardedEngine::ShardedEngine(const Config& config)
-    : plan_(config.shards), window_s_(config.window_s), barrier_(config.shards) {
+    : plan_(config.shards), window_s_(config.window_s), barrier_(config.shards - 1) {
   ACP_REQUIRE(config.shards >= 1);
   ACP_REQUIRE_MSG(config.window_s > 0.0, "barrier window must be positive");
   lanes_.reserve(config.shards);
@@ -77,11 +78,27 @@ void ShardedEngine::set_lane_obs(std::size_t shard, obs::MetricsRegistry* regist
   lane.attr = attr;
 }
 
+void ShardedEngine::set_phase_profiler(obs::MetricsRegistry* registry) {
+  ACP_REQUIRE_MSG(!tl_.in_worker, "set_phase_profiler is coordinator-only");
+  // Lane drains are timed on the lanes' own threads, so they get the wall
+  // histogram alone: a thread-local allocation delta cannot follow them.
+  const auto wall = [registry](const char* scope) -> obs::Histogram* {
+    if (registry == nullptr) return nullptr;
+    return &registry->histogram(obs::metric::kProfWall, obs::prof_bounds_s(), {{"scope", scope}});
+  };
+  lane_drain_wall_ = wall(obs::prof_scope::kSimLaneDrain);
+  slowest_lane_wall_ = wall(obs::prof_scope::kSimWindowSlowestLane);
+  const obs::Profiler profiler(registry);
+  barrier_wait_prof_ =
+      lanes_.size() >= 2 ? profiler.scope(obs::prof_scope::kSimBarrierWait) : obs::ProfSlot{};
+  apply_prof_ = profiler.scope(obs::prof_scope::kSimApply);
+}
+
 void ShardedEngine::start_workers() {
   if (workers_started_) return;
   workers_started_ = true;
-  workers_.reserve(lanes_.size());
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+  workers_.reserve(lanes_.size() - 1);
+  for (std::size_t i = 1; i < lanes_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -91,28 +108,47 @@ void ShardedEngine::worker_main(std::size_t lane_index) {
   tl_.in_worker = true;
   tl_.lane = lane_index;
   Lane& lane = *lanes_[lane_index];
+  std::uint64_t seen = 0;
   double end = 0.0;
-  while (barrier_.wait_for_window(end)) {
-    try {
-      CalendarQueue<LanePending>::Entry ev;
-      while (lane.queue.pop_if_le(end, ev)) {
-        tl_.now = ev.at;
-        tl_.key = ev.seq;
-        tl_.row_ord = 0;
-        tl_.op_ord = 0;
-        std::function<void()> cb = std::move(ev.payload.cb);
-        ++lane.fired;
-        if (lane.events_metric != nullptr) lane.events_metric->add(1);
-        if (lane.attr != nullptr && lane.attr->enabled()) {
-          lane.attr->record_wait(ev.payload.tag, ev.at - ev.payload.enqueued_at);
-        }
-        cb();
-      }
-    } catch (...) {
-      lane.error = std::current_exception();
-    }
+  while (barrier_.wait_for_window(seen, end)) {
+    drain_lane(lane, end);
     barrier_.worker_done();
   }
+}
+
+void ShardedEngine::drain_lane(Lane& lane, double end) {
+  using Clock = std::chrono::steady_clock;
+  const bool timed = lane_drain_wall_ != nullptr;
+  const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+  try {
+    CalendarQueue<LanePending>::Entry ev;
+    while (lane.queue.pop_if_le(end, ev)) {
+      tl_.now = ev.at;
+      tl_.key = ev.seq;
+      tl_.row_ord = 0;
+      tl_.op_ord = 0;
+      std::function<void()> cb = std::move(ev.payload.cb);
+      ++lane.fired;
+      if (lane.events_metric != nullptr) lane.events_metric->add(1);
+      if (lane.attr != nullptr && lane.attr->enabled()) {
+        lane.attr->record_wait(ev.payload.tag, ev.at - ev.payload.enqueued_at);
+      }
+      cb();
+    }
+  } catch (...) {
+    lane.error = std::current_exception();
+  }
+  if (timed) lane.drain_s = std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+void ShardedEngine::record_lane_drains() {
+  if (lane_drain_wall_ == nullptr) return;
+  double slowest = 0.0;
+  for (const auto& lane : lanes_) {
+    lane_drain_wall_->observe(lane->drain_s);
+    slowest = std::max(slowest, lane->drain_s);
+  }
+  slowest_lane_wall_->observe(slowest);
 }
 
 std::uint64_t ShardedEngine::run_until(double until) {
@@ -135,10 +171,19 @@ std::uint64_t ShardedEngine::run_until(double until) {
     while (window_end_ < next) window_end_ += window_s_;
     const double bound = std::min(window_end_, until);
 
-    // Shard phase: every worker drains its lane up to `bound` against
-    // frozen shared state, buffering mutations as ops.
+    // Shard phase: every lane drains up to `bound` against frozen shared
+    // state, buffering mutations as ops — lanes 1..N−1 on the workers,
+    // lane 0 here, as a worker would.
     barrier_.open_window(bound);
-    barrier_.wait_workers();
+    const WorkerCtx coordinator_ctx = tl_;
+    tl_.in_worker = true;
+    tl_.lane = 0;
+    drain_lane(*lanes_.front(), bound);
+    tl_ = coordinator_ctx;
+    {
+      const obs::ProfScope wait(barrier_wait_prof_);
+      barrier_.wait_workers();
+    }
     for (const auto& lane : lanes_) {
       if (lane->error) {
         std::exception_ptr err = lane->error;
@@ -146,10 +191,12 @@ std::uint64_t ShardedEngine::run_until(double until) {
         std::rethrow_exception(err);
       }
     }
+    record_lane_drains();
 
     // Barrier: collect ops from all lanes into one deterministic order —
     // (at, pushing-event key, push index) is unique and independent of
     // which worker ran what when.
+    const obs::ProfScope apply(apply_prof_);
     ops.clear();
     for (const auto& lane : lanes_) {
       for (Op& op : lane->ops) ops.push_back(std::move(op));

@@ -5,8 +5,10 @@
 // that reads or mutates shared world state (request arrivals, state
 // publishes, faults, migration, repair, session teardown, samplers), and
 // every probe cascade gets a private stream pinned by hashed deputy
-// ownership to one of N shard lanes, each a CalendarQueue drained by a
-// dedicated worker thread.
+// ownership to one of N shard lanes, each a CalendarQueue. The coordinator
+// (the thread that calls run_until) drains lane 0 itself; lanes 1..N−1 each
+// have a dedicated worker thread, so N lanes cost N − 1 threads and
+// `--shards 1` starts none.
 //
 // Synchronization is a fixed time-window barrier, not null messages. Why:
 // on the XL torus the minimum virtual-link delay (the classic conservative
@@ -35,6 +37,12 @@
 // so traces, metrics, timelines, and attribution are byte-identical for
 // any `--shards N` — the same guarantee the parallel trial runner gives
 // across `--jobs`.
+//
+// Phase profile (set_phase_profiler): per window, each lane's drain time
+// (sim.lane_drain) and the slowest of them (sim.window_slowest_lane), the
+// coordinator's wait for the workers after lane 0 (sim.barrier_wait, N ≥ 2)
+// and the op sort plus apply phase (sim.apply). All four are recorded on
+// the coordinator; detached, the engine reads no clock.
 #pragma once
 
 #include <cstdint>
@@ -94,10 +102,16 @@ class ShardedEngine : public ShardHost {
   /// global-lane observable so gauge min/max are shard-count-invariant.
   void set_lane_obs(std::size_t shard, obs::MetricsRegistry* registry, obs::Attribution* attr);
 
+  /// Records the window phases as wall-clock profiler scopes in `registry`
+  /// (see the header comment); nullptr detaches. Call between runs.
+  void set_phase_profiler(obs::MetricsRegistry* registry);
+
   /// Runs the window loop until simulated time `until`: repeatedly opens
-  /// the next non-empty window, drains all lanes concurrently, then applies
-  /// deferred ops interleaved with global-lane events in timestamp order.
-  /// Returns the number of events fired (all lanes + global).
+  /// the next non-empty window, drains all lanes concurrently (lane 0 on
+  /// the calling thread), then applies deferred ops interleaved with
+  /// global-lane events in timestamp order. Returns the number of events
+  /// fired (all lanes + global). An exception thrown by any lane's event
+  /// propagates once every lane has finished the window, lowest lane first.
   std::uint64_t run_until(double until);
 
   /// Totals across the global lane and all shard lanes. Only meaningful
@@ -107,8 +121,9 @@ class ShardedEngine : public ShardHost {
   std::size_t total_pending() const;
 
   /// Ordering key for the observable row being emitted right now on this
-  /// thread: a worker stamps its executing event's (at, key) plus a row
-  /// ordinal; the coordinator stamps the current op's key during op
+  /// thread: a lane drain (a worker, or the coordinator on lane 0) stamps
+  /// its executing event's (at, key) plus a row ordinal; the coordinator
+  /// otherwise stamps the current op's key during op
   /// application, else the global clock with a monotone ordinal (stream 0
   /// sorts before every shard stream at equal timestamps, matching
   /// "global events first" apply order). Wired as ShardCapture's key_fn.
@@ -136,6 +151,7 @@ class ShardedEngine : public ShardHost {
     obs::Counter* events_metric = nullptr;
     obs::Attribution* attr = nullptr;
     std::exception_ptr error;
+    double drain_s = 0.0;  ///< last window's drain wall time (phase profile only)
   };
 
   struct StreamInfo {
@@ -145,8 +161,9 @@ class ShardedEngine : public ShardHost {
   };
 
   /// Thread-local execution context: which lane this thread drains and the
-  /// (at, key) of the event it is firing. Coordinator threads keep
-  /// in_worker=false and read the global clock instead.
+  /// (at, key) of the event it is firing. The coordinator sets it to lane 0
+  /// for its own drain and otherwise keeps in_worker=false, reading the
+  /// global clock instead.
   struct WorkerCtx {
     bool in_worker = false;
     std::size_t lane = 0;
@@ -159,6 +176,12 @@ class ShardedEngine : public ShardHost {
 
   void start_workers();
   void worker_main(std::size_t lane_index);
+  /// Fires `lane`'s events with at <= `end` in (at, key) order; an
+  /// exception is stored in lane.error. Runs on the lane's worker, or on
+  /// the coordinator for lane 0.
+  void drain_lane(Lane& lane, double end);
+  /// Observes the window's lane drain times (lane order) and their max.
+  void record_lane_drains();
   StreamInfo& stream_info(std::uint32_t stream);
 
   Engine global_;
@@ -167,8 +190,13 @@ class ShardedEngine : public ShardHost {
   double window_end_ = 0.0;  ///< top of the fixed window grid reached so far
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<StreamInfo> streams_;  ///< indexed by stream id
+  // Phase profile; null or inert until set_phase_profiler.
+  obs::Histogram* lane_drain_wall_ = nullptr;
+  obs::Histogram* slowest_lane_wall_ = nullptr;
+  obs::ProfSlot barrier_wait_prof_;  ///< stays inert at N = 1
+  obs::ProfSlot apply_prof_;
   PhaseBarrier barrier_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  ///< lanes 1..N−1
   bool workers_started_ = false;
 
   // Coordinator-side row-key state (single-threaded by construction).

@@ -81,4 +81,19 @@ std::vector<std::string> Flags::unknown_flags() const {
   return out;
 }
 
+void Flags::exit_on_unknown_flags() const {
+  const std::vector<std::string> unknown = unknown_flags();
+  if (unknown.empty()) return;
+  for (const std::string& f : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", f.c_str());
+  }
+  std::string known;
+  for (const auto& [name, read] : read_) {
+    (void)read;
+    known += " --" + name;
+  }
+  std::fprintf(stderr, "flags:%s\n", known.c_str());
+  std::exit(2);
+}
+
 }  // namespace acp::util

@@ -27,6 +27,12 @@ class Flags {
   /// Flags that were never read by a get_* call — useful for typo warnings.
   std::vector<std::string> unknown_flags() const;
 
+  /// Fails fast on a flag this binary does not read: prints
+  /// "error: unknown flag --X" for each, then every flag a get_* call has
+  /// asked for, and exits with status 2. Call after the last get_*, before
+  /// any work starts.
+  void exit_on_unknown_flags() const;
+
   /// Validates a path-valued flag at startup so a bad output destination
   /// fails before the run instead of after it. Exits with a usage error
   /// when the flag was given without a value (a bare "--trace-out" parses

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "sim/calendar_queue.h"
 #include "sim/counters.h"
 #include "sim/sharded_engine.h"
@@ -276,6 +281,101 @@ TEST(ShardedEngine, EmptyLanesAndSparseTimeStillTerminate) {
   EXPECT_EQ(se.total_events_fired(), 6u);
   EXPECT_EQ(se.total_pending(), 0u);
   EXPECT_DOUBLE_EQ(se.global().now(), 6000.0);
+}
+
+// ---- Lane 0 on the coordinator ----------------------------------------------
+
+/// An owner key that ShardPlan pins to `lane`.
+std::uint64_t owner_on_lane(const ShardPlan& plan, std::size_t lane) {
+  for (std::uint64_t key = 0;; ++key) {
+    if (plan.owner(key) == lane) return key;
+  }
+}
+
+TEST(ShardedEngine, CoordinatorDrainsLaneZeroAndOnlyLaneZero) {
+  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    ShardedEngine::Config cfg;
+    cfg.shards = shards;
+    cfg.window_s = 1.0;
+    ShardedEngine se(cfg);
+    // Two events per lane in different windows; each notes its thread.
+    auto seen = std::make_shared<std::vector<std::vector<std::thread::id>>>(shards);
+    for (std::size_t lane = 0; lane < shards; ++lane) {
+      const auto stream = static_cast<std::uint32_t>(lane + 1);
+      se.open_stream(stream, owner_on_lane(se.plan(), lane));
+      for (double at : {0.5, 2.5}) {
+        se.schedule_stream(
+            stream, at, [seen, lane] { (*seen)[lane].push_back(std::this_thread::get_id()); },
+            "lane");
+      }
+    }
+    se.run_until(5.0);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (std::size_t lane = 0; lane < shards; ++lane) {
+      ASSERT_EQ((*seen)[lane].size(), 2u) << "shards " << shards << " lane " << lane;
+      for (const std::thread::id id : (*seen)[lane]) {
+        if (lane == 0) {
+          EXPECT_EQ(id, caller) << "shards " << shards;
+        } else {
+          EXPECT_NE(id, caller) << "shards " << shards << " lane " << lane;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedEngine, LaneExceptionsPropagateAndTheEngineStillDestructs) {
+  struct Case {
+    std::size_t shards;
+    std::size_t lane;
+  };
+  for (const Case c : {Case{1, 0}, Case{4, 0}, Case{4, 3}}) {
+    ShardedEngine::Config cfg;
+    cfg.shards = c.shards;
+    cfg.window_s = 1.0;
+    auto se = std::make_unique<ShardedEngine>(cfg);
+    // Every lane has work in the failing window, so the workers are busy
+    // when the throwing lane finishes.
+    for (std::size_t lane = 0; lane < c.shards; ++lane) {
+      const auto stream = static_cast<std::uint32_t>(lane + 1);
+      se->open_stream(stream, owner_on_lane(se->plan(), lane));
+      if (lane == c.lane) {
+        se->schedule_stream(stream, 0.5, [] { throw std::runtime_error("lane event"); }, "t");
+      } else {
+        se->schedule_stream(stream, 0.5, [] {}, "t");
+      }
+    }
+    EXPECT_THROW(se->run_until(5.0), std::runtime_error)
+        << "shards " << c.shards << " lane " << c.lane;
+    se.reset();  // joins the workers; a hang here fails by timeout
+  }
+}
+
+TEST(ShardedEngine, PhaseProfileSamplesEveryWindow) {
+  // Two windows of work: sim.lane_drain samples once per lane per window,
+  // sim.window_slowest_lane and sim.apply once per window, and
+  // sim.barrier_wait once per window only when there are workers to wait on.
+  for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    obs::MetricsRegistry registry;
+    ShardedEngine::Config cfg;
+    cfg.shards = shards;
+    cfg.window_s = 1.0;
+    ShardedEngine se(cfg);
+    se.set_phase_profiler(&registry);
+    se.open_stream(1, 11ULL);
+    se.schedule_stream(1, 0.5, [] {}, "t");
+    se.schedule_stream(1, 3.5, [] {}, "t");
+    se.run_until(10.0);
+    const auto samples = [&](const char* scope) -> std::uint64_t {
+      const obs::Histogram* h = registry.find_histogram(obs::metric::kProfWall, {{"scope", scope}});
+      return h == nullptr ? 0 : h->count();
+    };
+    EXPECT_EQ(samples(obs::prof_scope::kSimLaneDrain), 2 * shards) << "shards " << shards;
+    EXPECT_EQ(samples(obs::prof_scope::kSimWindowSlowestLane), 2u) << "shards " << shards;
+    EXPECT_EQ(samples(obs::prof_scope::kSimApply), 2u) << "shards " << shards;
+    EXPECT_EQ(samples(obs::prof_scope::kSimBarrierWait), shards >= 2 ? 2u : 0u)
+        << "shards " << shards;
+  }
 }
 
 }  // namespace
