@@ -180,8 +180,11 @@ void BM_ExhaustiveSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveSearch);
 
+// guided_search of the fixture's first request at α = alpha / 10; on the
+// torus its merged candidates walk virtual links of ~34 overlay links
+// through score_qualified's evaluation batch.
 void BM_GuidedSearch(benchmark::State& state) {
-  auto& w = World::instance();
+  auto& w = World::instance(state.range(1) != 0);
   auto& sys = *w.dep.sys;
   const double alpha = static_cast<double>(state.range(0)) / 10.0;
   for (auto _ : state) {
@@ -190,7 +193,7 @@ void BM_GuidedSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(best.has_value());
   }
 }
-BENCHMARK(BM_GuidedSearch)->Arg(1)->Arg(3)->Arg(10);
+BENCHMARK(BM_GuidedSearch)->ArgNames({"alpha", "torus"})->ArgsProduct({{1, 3, 10}, {0, 1}});
 
 void BM_GlobalStateSweep(benchmark::State& state) {
   auto& w = World::instance();

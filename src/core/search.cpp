@@ -141,6 +141,7 @@ std::vector<std::pair<double, std::size_t>> score_qualified(
     const stream::FnPaths& paths, const std::vector<ComponentGraph>& graphs,
     const stream::StateView& view, double now) {
   std::vector<std::pair<double, std::size_t>> scored;
+  const auto batch = eval.batch(view, now);
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const auto phi = eval.evaluate(graphs[i], paths, req.qos_req, req.policy, view, now);
     if (phi) scored.emplace_back(*phi, i);
@@ -211,9 +212,18 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
     if (per_path.back().empty()) return std::nullopt;  // some path has no feasible assignment
   }
 
-  // The walk already enforced Eq. 2, interfaces, policy and Eq. 3 per path,
-  // so each full assignment needs only Eqs. 4–5 and φ.
   stream::CompositionEvaluator eval(sys);
+  // Generalized pairwise join for the paper's two-branch DAGs; >2 paths fall
+  // back to full merge and the shared min-φ selection (the template
+  // generator never produces them).
+  if (paths.size() > 2) {
+    auto graphs = merge_path_assignments(req.graph, paths, per_path, combo_cap, nullptr);
+    return min_phi(eval, req, paths, graphs, view, now, stats);
+  }
+
+  // The walk already enforced Eq. 2, interfaces, policy and Eq. 3 per path,
+  // so each full assignment needs only Eqs. 4–5 and φ, all in one batch.
+  const auto batch = eval.batch(view, now);
   std::optional<std::vector<ComponentId>> best_assignment;
   double best_phi = std::numeric_limits<double>::infinity();
   std::size_t evals = 0;
@@ -260,14 +270,8 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
       if (!consider(assignment, e.bound)) break;
     }
   } else {
-    // Multi-path (DAG): bucket path assignments by their values on shared
+    // Two paths (DAG): bucket path assignments by their values on shared
     // function nodes, then best-first join within compatible buckets.
-    // Generalized pairwise for the paper's two-branch DAGs; >2 paths fall
-    // back to full merge (template generator never produces them).
-    if (paths.size() > 2) {
-      auto graphs = merge_path_assignments(req.graph, paths, per_path, combo_cap, nullptr);
-      return min_phi(eval, req, paths, graphs, view, now, stats);
-    }
 
     // Shared fn nodes between the two paths.
     std::vector<bool> shared1(paths[1].size(), false);

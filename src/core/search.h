@@ -48,7 +48,8 @@ std::vector<stream::ComponentGraph> merge_path_assignments(
 
 /// The deputy's qualification step (paper Sec. 3.3 step 3), shared by every
 /// min-φ selection: evaluates each merged candidate once with `eval`
-/// against `view` and returns the qualified ones as (φ(λ), index) pairs in
+/// against `view`, all in one evaluation batch (so `view` must read without
+/// side effects), and returns the qualified ones as (φ(λ), index) pairs in
 /// index order. Sorting them gives the (φ, index) ranking, whose head is
 /// the first strict φ minimum.
 std::vector<std::pair<double, std::size_t>> score_qualified(
@@ -57,8 +58,9 @@ std::vector<std::pair<double, std::size_t>> score_qualified(
     const stream::StateView& view, double now);
 
 /// Exhaustive search: every combination of candidates (per-path DFS with
-/// Eq. 6–8 pruning, then cross-path merge), evaluated against `view`;
-/// returns the qualified composition minimizing φ(λ), or nullopt.
+/// Eq. 6–8 pruning, then cross-path merge), evaluated against `view` in one
+/// evaluation batch; returns the qualified composition minimizing φ(λ), or
+/// nullopt.
 std::optional<stream::ComponentGraph> exhaustive_best(const stream::StreamSystem& sys,
                                                       const workload::Request& req,
                                                       const stream::StateView& view, double now,

@@ -108,11 +108,97 @@ std::string ComponentGraph::to_string(const StreamSystem& sys) const {
 
 // ---- CompositionEvaluator ----------------------------------------------------
 
+void CompositionEvaluator::BatchIndex::reset() {
+  size_ = 0;
+  if (++generation_ != 0) return;
+  // Wrapped: slots of every earlier generation must read as unused again.
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  generation_ = 1;
+}
+
+CompositionEvaluator::BatchIndex::Found CompositionEvaluator::BatchIndex::find_or_insert(
+    std::uint64_t key, std::uint32_t fresh) {
+  if (2 * (std::size_t{size_} + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  // Fibonacci hashing: the top bits of key·2^64/φ spread the strided ids of
+  // a torus walk.
+  std::size_t h = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+  for (; slots_[h].generation == generation_; h = (h + 1) & mask) {
+    if (slots_[h].key == key) return {slots_[h].id, false};
+  }
+  slots_[h] = {key, fresh, generation_};
+  ++size_;
+  return {fresh, true};
+}
+
+void CompositionEvaluator::BatchIndex::grow() {
+  const util::SmallVec<Slot, 32> old = slots_;
+  const std::size_t capacity = std::max<std::size_t>(32, 2 * old.size());
+  slots_.clear();
+  slots_.resize(capacity);
+  shift_ = 64 - std::countr_zero(capacity);
+  for (const Slot& s : old) {
+    if (s.generation != generation_) continue;
+    std::size_t h = (s.key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    while (slots_[h].generation == generation_) h = (h + 1) & (capacity - 1);
+    slots_[h] = s;
+  }
+}
+
+CompositionEvaluator::Batch CompositionEvaluator::batch(const StateView& view, double now) {
+  ACP_REQUIRE_MSG(view_ == nullptr, "an evaluation batch is already open");
+  reset_batch();
+  view_ = &view;
+  now_ = now;
+  return Batch(*this);
+}
+
+void CompositionEvaluator::reset_batch() {
+  walk_index_.reset();
+  link_index_.reset();
+  node_index_.reset();
+  walks_.clear();
+  walk_links_.clear();
+  batch_links_.clear();
+  node_avail_.clear();
+}
+
+void CompositionEvaluator::require_bound(const StateView& view, double now) const {
+  ACP_REQUIRE_MSG(&view == view_ && now == now_,
+                  "evaluation inside a batch bound to another view or time");
+}
+
+CompositionEvaluator::Walk CompositionEvaluator::walk(NodeId a, NodeId b) {
+  const auto w = walk_index_.find_or_insert((std::uint64_t{a} << 32) | b,
+                                            static_cast<std::uint32_t>(walks_.size()));
+  if (!w.inserted) return walks_[w.id];
+  const auto begin = static_cast<std::uint32_t>(walk_links_.size());
+  sys_->mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    const auto link =
+        link_index_.find_or_insert(l, static_cast<std::uint32_t>(batch_links_.size()));
+    if (link.inserted) batch_links_.push_back({l});
+    walk_links_.push_back(link.id);
+  });
+  walks_.push_back({begin, static_cast<std::uint32_t>(walk_links_.size())});
+  return walks_.back();
+}
+
+const ResourceVector& CompositionEvaluator::node_available(NodeId node) {
+  const auto n = node_index_.find_or_insert(node, static_cast<std::uint32_t>(node_avail_.size()));
+  if (n.inserted) node_avail_.push_back(view_->node_available(node, now_));
+  return node_avail_[n.id];
+}
+
 std::optional<double> CompositionEvaluator::evaluate(const ComponentGraph& cg,
                                                      const FnPaths& paths,
                                                      const QoSVector& qos_req,
                                                      const PolicyConstraint& policy,
                                                      const StateView& view, double now) {
+  if (view_ == nullptr) {
+    const Batch one = batch(view, now);
+    return evaluate(cg, paths, qos_req, policy, view, now);
+  }
+  require_bound(view, now);
   if (!cg.fully_assigned() || !cg.functions_match(*sys_) || !cg.interfaces_compatible(*sys_) ||
       !cg.satisfies_policy(*sys_, policy)) {
     return std::nullopt;
@@ -120,11 +206,32 @@ std::optional<double> CompositionEvaluator::evaluate(const ComponentGraph& cg,
   for (const auto& path : paths) {
     if (!cg.path_qos(*sys_, path).satisfies(qos_req)) return std::nullopt;
   }
-  return phi(cg.function_graph(), cg.assignment(), view, now);
+  return phi_in_batch(cg.function_graph(), cg.assignment());
+}
+
+std::optional<double> CompositionEvaluator::phi(const FunctionGraph& fg,
+                                                const std::vector<ComponentId>& assignment,
+                                                const StateView& view, double now) {
+  if (view_ == nullptr) {
+    const Batch one = batch(view, now);
+    return phi_in_batch(fg, assignment);
+  }
+  require_bound(view, now);
+  return phi_in_batch(fg, assignment);
 }
 
 void CompositionEvaluator::aggregate(const FunctionGraph& fg,
                                      const std::vector<ComponentId>& assignment) {
+  if (view_ == nullptr) reset_batch();  // a batch of one that reads no state
+  accumulate(fg, assignment);
+  links_.clear();
+  for (const std::uint32_t id : link_ids_) {
+    links_.push_back({batch_links_[id].link, batch_links_[id].kbps});
+  }
+}
+
+void CompositionEvaluator::accumulate(const FunctionGraph& fg,
+                                      const std::vector<ComponentId>& assignment) {
   ACP_REQUIRE(assignment.size() == fg.node_count());
   // Node demand: a composition has a handful of hosts, so a scan per fn
   // node is cheapest.
@@ -140,60 +247,54 @@ void CompositionEvaluator::aggregate(const FunctionGraph& fg,
   }
 
   // Link demand: one use per (edge, walk step), in that order; a
-  // co-located edge has none. use_slot_ first collects each use's link, then
-  // the table replaces it by the link's slot in links_. A link's first use
-  // appends its slot, and every use adds into that slot, so each link sums
-  // in (edge, walk) order.
-  use_slot_.clear();
-  edge_end_.resize(fg.edge_count());
+  // co-located edge has none. A batch link's first use by this candidate
+  // stamps it and restarts its total from 0.0, and every use adds into that
+  // total, so each link sums in (edge, walk) order.
+  if (++stamp_ == 0) {
+    // Wrapped: no batch link may still carry the new stamp.
+    for (BatchLink& bl : batch_links_) bl.stamp = 0;
+    stamp_ = 1;
+  }
+  link_ids_.clear();
+  edge_walk_.resize(fg.edge_count());
   for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
     const NodeId a = sys_->component(assignment[fg.edge(e).from]).node;
     const NodeId b = sys_->component(assignment[fg.edge(e).to]).node;
-    if (a != b) {
-      sys_->mesh().for_each_virtual_link(a, b,
-                                         [&](net::OverlayLinkIndex l) { use_slot_.push_back(l); });
+    if (a == b) {
+      edge_walk_[e] = {};
+      continue;
     }
-    edge_end_[e] = static_cast<std::uint32_t>(use_slot_.size());
-  }
-  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // link kNoOverlayLink: never a real one
-  const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(2 * use_slot_.size(), 16));
-  const int shift = 64 - std::countr_zero(capacity);
-  link_table_.resize(capacity);
-  std::fill(link_table_.begin(), link_table_.end(), kEmpty);
-  links_.clear();
-  std::uint32_t pos = 0;
-  for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+    const Walk w = walk(a, b);
+    edge_walk_[e] = w;
     const double kbps = fg.edge(e).required_bandwidth_kbps;
-    for (; pos < edge_end_[e]; ++pos) {
-      const net::OverlayLinkIndex l = use_slot_[pos];
-      // Fibonacci hashing: the top bits of l·2^64/φ spread the strided ids
-      // of a torus walk.
-      std::size_t h = (std::uint64_t{l} * 0x9E3779B97F4A7C15ULL) >> shift;
-      while ((link_table_[h] >> 32) != l && link_table_[h] != kEmpty) h = (h + 1) & (capacity - 1);
-      if (link_table_[h] == kEmpty) {
-        link_table_[h] = (std::uint64_t{l} << 32) | links_.size();
-        links_.push_back({l, 0.0});
+    for (std::uint32_t pos = w.begin; pos < w.end; ++pos) {
+      BatchLink& bl = batch_links_[walk_links_[pos]];
+      if (bl.stamp != stamp_) {
+        bl.stamp = stamp_;
+        bl.kbps = 0.0;
+        link_ids_.push_back(walk_links_[pos]);
       }
-      const auto slot = static_cast<std::uint32_t>(link_table_[h]);
-      links_[slot].kbps += kbps;
-      use_slot_[pos] = slot;
+      bl.kbps += kbps;
     }
   }
 }
 
-std::optional<double> CompositionEvaluator::phi(const FunctionGraph& fg,
-                                                const std::vector<ComponentId>& assignment,
-                                                const StateView& view, double now) {
-  aggregate(fg, assignment);
+std::optional<double> CompositionEvaluator::phi_in_batch(
+    const FunctionGraph& fg, const std::vector<ComponentId>& assignment) {
+  accumulate(fg, assignment);
   for (NodeDemand& n : nodes_) {
-    const ResourceVector avail = view.node_available(n.node, now);
+    const ResourceVector& avail = node_available(n.node);
     if (!n.demand.fits_within(avail)) return std::nullopt;
     n.residual = avail - n.demand;
   }
-  for (LinkDemand& l : links_) {
-    const double avail = view.link_available_kbps(l.link, now);
-    if (l.kbps > avail) return std::nullopt;
-    l.residual = avail - l.kbps;
+  for (const std::uint32_t id : link_ids_) {
+    BatchLink& bl = batch_links_[id];
+    if (!bl.read) {
+      bl.avail = view_->link_available_kbps(bl.link, now_);
+      bl.read = true;
+    }
+    if (bl.kbps > bl.avail) return std::nullopt;
+    bl.residual = bl.avail - bl.kbps;
   }
 
   // Node terms: Σ_k r_k / (rr_k + r_k) per component, with the residual
@@ -203,13 +304,13 @@ std::optional<double> CompositionEvaluator::phi(const FunctionGraph& fg,
     phi += congestion_terms(fg.node(i).required, nodes_[fn_slot_[i]].residual);
   }
   // Virtual-link terms: b / (rb + b), rb the bottleneck residual along the
-  // virtual link; a co-located edge has no uses, rb = ∞ and no term.
-  std::uint32_t pos = 0;
+  // virtual link; a co-located edge has an empty walk, rb = ∞ and no term.
   for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
-    if (pos == edge_end_[e]) continue;
+    const Walk w = edge_walk_[e];
+    if (w.begin == w.end) continue;
     double residual = std::numeric_limits<double>::infinity();
-    for (; pos < edge_end_[e]; ++pos) {
-      residual = std::min(residual, links_[use_slot_[pos]].residual);
+    for (std::uint32_t pos = w.begin; pos < w.end; ++pos) {
+      residual = std::min(residual, batch_links_[walk_links_[pos]].residual);
     }
     phi += congestion_term(fg.edge(e).required_bandwidth_kbps, residual);
   }

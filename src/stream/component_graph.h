@@ -93,16 +93,29 @@ class ComponentGraph {
 /// paths.
 ///
 /// Summation order is part of the contract, so φ is bit-reproducible: a
-/// node's demand sums in fn order, a link's demand in (edge, walk) order,
-/// and φ adds node terms in fn order, then link terms in edge order.
-/// Per-link demand is aggregated through a small open-addressing table from
-/// overlay link to its slot, not a scan per use: a torus virtual link spans
-/// dozens of overlay links.
+/// node's demand sums in fn order, a link's demand in (edge, walk) order
+/// from 0.0, and φ adds node terms in fn order, then link terms in edge
+/// order.
 ///
-/// The buffers are reused across calls and hold a typical composition
-/// inline, so evaluating allocates nothing in steady state. The owner (a
-/// protocol instance, one search call) must not share an evaluator between
-/// threads.
+/// Every evaluation runs in an evaluation batch bound to one (StateView,
+/// now). batch() opens one explicitly, for scoring many candidates against
+/// the same unchanging state; a phi() or evaluate() outside one is a batch
+/// of one, and aggregate() outside one is a batch that reads no state.
+/// Within a batch:
+///   * each distinct (a, b) host pair's walk is generated once, into
+///     batch-local link ids;
+///   * each node's and each overlay link's availability is read from the
+///     view at most once, when a candidate first needs it;
+///   * a candidate's link demand adds into a dense batch-local accumulator
+///     that a per-candidate stamp resets.
+/// The memo answers every later read, so open a batch only over a view
+/// whose reads have no side effects (RequestScopedView, TrueView,
+/// WhatIfView) and only while the state it reads stays unchanged.
+///
+/// The batch's indexes are sized by the links and hosts the batch touches,
+/// not by the world, and are reset by a generation bump, not cleared. The
+/// owner (a protocol instance, one search call) must not share an
+/// evaluator between threads.
 class CompositionEvaluator {
  public:
   struct NodeDemand {
@@ -112,11 +125,29 @@ class CompositionEvaluator {
   };
   struct LinkDemand {
     net::OverlayLinkIndex link;
-    double kbps;              ///< the composition's total on this link
-    double residual = 0.0;    ///< available − kbps (set by phi())
+    double kbps;  ///< the composition's total on this link
+  };
+
+  /// An open evaluation batch; closing it (on destruction, on every path)
+  /// lets the evaluator bind the next batch to another view or time.
+  class [[nodiscard]] Batch {
+   public:
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+    ~Batch() { eval_->view_ = nullptr; }
+
+   private:
+    friend class CompositionEvaluator;
+    explicit Batch(CompositionEvaluator& eval) : eval_(&eval) {}
+    CompositionEvaluator* eval_;
   };
 
   explicit CompositionEvaluator(const StreamSystem& sys) : sys_(&sys) {}
+
+  /// Opens a batch bound to (view, now): until it closes, every phi() and
+  /// evaluate() must pass this view and this time (ACP_REQUIRE). At most
+  /// one batch is open per evaluator.
+  Batch batch(const StateView& view, double now);
 
   /// Eqs. 2–5 and the policy against `view`, then φ(λ); nullopt when any
   /// check fails. `paths` are cg's request's source→sink paths.
@@ -134,33 +165,94 @@ class CompositionEvaluator {
 
   /// Aggregates the assignment's demand without reading any state:
   /// node_demand() lists each host once, link_demand() each overlay link
-  /// once, both in first-use order.
+  /// once, both in first-use order, until the next aggregate(), phi() or
+  /// evaluate().
   void aggregate(const FunctionGraph& fg, const std::vector<ComponentId>& assignment);
 
   std::span<const NodeDemand> node_demand() const { return {nodes_.data(), nodes_.size()}; }
   std::span<const LinkDemand> link_demand() const { return {links_.data(), links_.size()}; }
 
  private:
+  /// Open addressing from a 64-bit key to a batch-local id, reset in O(1):
+  /// a slot belongs to the current batch only when it carries the current
+  /// generation. Capacity doubles past half load and is never cleared; a
+  /// paper-scale batch fits the inline slots, so a fresh evaluator (one per
+  /// search call) allocates nothing for it.
+  class BatchIndex {
+   public:
+    struct Found {
+      std::uint32_t id;
+      bool inserted;
+    };
+    void reset();
+    /// The id of `key`, or `fresh` after inserting `key` with it.
+    Found find_or_insert(std::uint64_t key, std::uint32_t fresh);
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      std::uint32_t id = 0;
+      std::uint32_t generation = 0;  ///< 0: never used
+    };
+    void grow();
+    util::SmallVec<Slot, 32> slots_;
+    int shift_ = 64;  ///< 64 − log2(capacity), set when the table first grows
+    std::uint32_t size_ = 0;
+    std::uint32_t generation_ = 1;
+  };
+
+  /// An overlay link the batch has walked.
+  struct BatchLink {
+    net::OverlayLinkIndex link;
+    std::uint32_t stamp = 0;  ///< the last candidate that used it
+    double kbps = 0.0;        ///< that candidate's total on it
+    double residual = 0.0;    ///< avail − kbps (set by phi())
+    double avail = 0.0;
+    bool read = false;        ///< avail holds the view's availability
+  };
+  /// A host pair's walk: [begin, end) in walk_links_.
+  struct Walk {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
   /// Inline capacities: fn nodes/edges of the largest template, and the
-  /// overlay-link uses of a paper-scale (Inet) composition.
+  /// overlay links of a paper-scale (Inet) composition.
   static constexpr std::size_t kInlineFns = 16;
-  static constexpr std::size_t kInlineUses = 64;
+  static constexpr std::size_t kInlineLinks = 64;
   template <typename T>
   using FnVec = util::SmallVec<T, kInlineFns>;
   template <typename T>
-  using UseVec = util::SmallVec<T, kInlineUses>;
+  using LinkVec = util::SmallVec<T, kInlineLinks>;
+
+  void reset_batch();
+  void require_bound(const StateView& view, double now) const;
+  void accumulate(const FunctionGraph& fg, const std::vector<ComponentId>& assignment);
+  Walk walk(NodeId a, NodeId b);
+  const ResourceVector& node_available(NodeId node);
+  std::optional<double> phi_in_batch(const FunctionGraph& fg,
+                                     const std::vector<ComponentId>& assignment);
 
   const StreamSystem* sys_;
+
+  // The candidate last accumulated; links_ only when aggregate() listed it.
   FnVec<NodeDemand> nodes_;
-  UseVec<LinkDemand> links_;
-  FnVec<std::uint32_t> fn_slot_;    ///< fn node → index in nodes_
-  FnVec<std::uint32_t> edge_end_;   ///< edge → one past its last use position
-  UseVec<std::uint32_t> use_slot_;  ///< use position → index in links_
-  /// Overlay link → index in links_, as (link << 32 | index) entries with
-  /// linear probing. Each aggregate() clears and uses only a power-of-two
-  /// prefix of at least twice the composition's link uses (Σ hops over its
-  /// non-co-located edges).
-  UseVec<std::uint64_t> link_table_;
+  LinkVec<LinkDemand> links_;
+  LinkVec<std::uint32_t> link_ids_;  ///< its batch links in first-use order
+  FnVec<std::uint32_t> fn_slot_;     ///< fn node → index in nodes_
+  FnVec<Walk> edge_walk_;            ///< edge → its walk; empty when co-located
+  std::uint32_t stamp_ = 0;          ///< marks the batch links the candidate uses
+
+  // The open batch, or the last one; view_ is null when none is open.
+  const StateView* view_ = nullptr;
+  double now_ = 0.0;
+  BatchIndex walk_index_;  ///< (a << 32 | b) → index in walks_
+  BatchIndex link_index_;  ///< overlay link → index in batch_links_
+  BatchIndex node_index_;  ///< node → index in node_avail_
+  LinkVec<Walk> walks_;
+  LinkVec<std::uint32_t> walk_links_;  ///< batch link ids, walk after walk
+  LinkVec<BatchLink> batch_links_;
+  FnVec<ResourceVector> node_avail_;
 };
 
 }  // namespace acp::stream

@@ -1,14 +1,21 @@
 // Differential tests of CompositionEvaluator against two references kept
 // here: the std::map per-node/per-link demand tables and φ computation that
 // the flat evaluator replaced, and the evaluator's own earlier aggregation,
-// which sorted (link, use position) keys instead of looking links up in a
-// table. On seeded random compositions — co-located components, branches
-// whose virtual links share overlay links, background load, and a
-// RequestScopedView over the request's own transients — feasibility must
-// agree, the aggregates and φ must be bit-identical, and link_demand() must
-// list links in first-use order. One evaluator is reused across every
-// composition, as callers do, so its link table grows and shrinks between
-// cases and must never serve a stale entry.
+// which sorted (link, use position) keys. On seeded random compositions —
+// co-located components, branches whose virtual links share overlay links,
+// background load, and a RequestScopedView over the request's own
+// transients — feasibility must agree, the aggregates and φ must be
+// bit-identical, and link_demand() must list links in first-use order. One
+// evaluator is reused across every composition, as callers do, so its
+// batch indexes grow and shrink between cases and must never serve a stale
+// entry.
+//
+// The batch cases score many compositions over a few shared hosts in one
+// evaluation batch — repeated and reversed host pairs, DAG splits and
+// merges whose walks share overlay links — and check every score against
+// both references and a fresh evaluation outside the batch, that each
+// availability is read at most once, that a later batch sees a state
+// change, and that a view or time mismatch inside a batch throws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -278,6 +286,11 @@ struct Tally {
   std::size_t grew = 0;         ///< more link uses than the previous composition
   std::size_t shrank = 0;       ///< fewer link uses than the previous composition
   std::size_t max_uses = 0;
+  // Batches only.
+  std::size_t triple_link = 0;    ///< some overlay link carries three or more edges
+  std::size_t repeated_pair = 0;  ///< an edge whose (a, b) the batch already walked
+  std::size_t reversed_pair = 0;  ///< an edge whose (b, a) the batch already walked
+  std::size_t changed = 0;        ///< φ or feasibility moved with the state
 };
 
 void check_world(World& w, std::uint64_t seed, Tally& tally) {
@@ -406,6 +419,234 @@ TEST(CompositionEvaluatorDifferential, ReusedEvaluatorGrowsAndShrinksOnLargeToru
   EXPECT_GE(tally.max_uses, 100u);
   EXPECT_GE(tally.feasible, 50u);
   EXPECT_GE(tally.shared_link, 50u);
+}
+
+// ---- Batches ------------------------------------------------------------------
+
+/// Forwards to another view and counts each node's and each link's reads.
+class CountingView final : public StateView {
+ public:
+  explicit CountingView(const StateView& inner) : inner_(&inner) {}
+
+  ResourceVector node_available(NodeId node, double now) const override {
+    ++node_reads[node];
+    return inner_->node_available(node, now);
+  }
+  double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
+    ++link_reads[l];
+    return inner_->link_available_kbps(l, now);
+  }
+
+  int max_reads() const {
+    int most = 0;
+    for (const auto& [node, n] : node_reads) most = std::max(most, n);
+    for (const auto& [link, n] : link_reads) most = std::max(most, n);
+    return most;
+  }
+  void clear() {
+    node_reads.clear();
+    link_reads.clear();
+  }
+
+  mutable std::map<NodeId, int> node_reads;
+  mutable std::map<net::OverlayLinkIndex, int> link_reads;
+
+ private:
+  const StateView* inner_;
+};
+
+/// One composition of a batch: its graph lives on the heap, where the
+/// ComponentGraph's pointer to it stays valid.
+struct BatchCase {
+  std::unique_ptr<FunctionGraph> fg;
+  std::optional<ComponentGraph> g;
+};
+
+/// Scores each case in one batch bound to (`view`, `now`); every score must
+/// equal the map reference, the sort reference and a fresh evaluation
+/// outside the batch against `plain` (the state `view` counts reads of),
+/// and aggregate() inside the batch must keep each case's first-use order.
+std::vector<std::optional<double>> score_in_batch(const StreamSystem& sys,
+                                                  CompositionEvaluator& eval,
+                                                  const std::vector<BatchCase>& cases,
+                                                  const StateView& view, const StateView& plain,
+                                                  double now, std::uint64_t seed, Tally& tally) {
+  std::vector<std::optional<double>> scores;
+  const auto batch = eval.batch(view, now);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const FunctionGraph& fg = *cases[c].fg;
+    const ComponentGraph& g = *cases[c].g;
+    const auto phi = eval.phi(fg, g.assignment(), view, now);
+    scores.push_back(phi);
+
+    const bool feasible = resources_feasible(sys, g, plain, now);
+    const auto fresh = CompositionEvaluator(sys).phi(fg, g.assignment(), plain, now);
+    const auto sorted = sorted_phi(sys, fg, g.assignment(), plain, now);
+    EXPECT_EQ(phi.has_value(), feasible) << "seed " << seed << " case " << c;
+    EXPECT_EQ(fresh.has_value(), feasible) << "seed " << seed << " case " << c;
+    EXPECT_EQ(sorted.has_value(), feasible) << "seed " << seed << " case " << c;
+    if (phi && feasible) {
+      ++tally.feasible;
+      EXPECT_EQ(*phi, congestion_aggregation(sys, g, plain, now))
+          << "seed " << seed << " case " << c;
+      EXPECT_EQ(*phi, sorted.value_or(-1.0)) << "seed " << seed << " case " << c;
+      EXPECT_EQ(*phi, fresh.value_or(-1.0)) << "seed " << seed << " case " << c;
+    } else if (!feasible) {
+      ++tally.infeasible;
+    }
+
+    // Aggregated inside the batch, from its walks: each case's own
+    // first-use order and totals.
+    eval.aggregate(fg, g.assignment());
+    const auto order = first_use_order(sys, g);
+    const auto link_ref = bandwidth_by_link(sys, g);
+    EXPECT_EQ(eval.link_demand().size(), order.size()) << "seed " << seed << " case " << c;
+    for (std::size_t i = 0; i < std::min(order.size(), eval.link_demand().size()); ++i) {
+      const auto& l = eval.link_demand()[i];
+      EXPECT_EQ(l.link, order[i]) << "seed " << seed << " case " << c;
+      EXPECT_EQ(l.kbps, link_ref.at(l.link)) << "seed " << seed << " case " << c;
+    }
+  }
+  return scores;
+}
+
+void check_batch(World& w, std::uint64_t seed, Tally& tally) {
+  StreamSystem& sys = *w.sys;
+  util::Rng rng(seed);
+  CompositionEvaluator eval(sys);  // reused across every batch, as callers do
+  for (int round = 0; round < 8; ++round) {
+    const RequestId rid = 1 + static_cast<RequestId>(round);
+    // A few hosts shared by every composition of the batch: host pairs
+    // repeat, and reversed pairs (b, a) follow (a, b).
+    std::vector<NodeId> hosts(3 + rng.below(3));
+    for (NodeId& n : hosts) n = static_cast<NodeId>(rng.below(sys.node_count()));
+    std::vector<BatchCase> cases(30);
+    std::set<std::pair<NodeId, NodeId>> walked;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      cases[c].fg = std::make_unique<FunctionGraph>(random_graph(rng, w.min_link_kbps));
+      const FunctionGraph& fg = *cases[c].fg;
+      ComponentGraph& g = cases[c].g.emplace(fg);
+      for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+        g.assign(i, sys.add_component(fg.node(i).function, hosts[rng.below(hosts.size())], {}));
+      }
+      // The request's own transients on some hosts and links (the scoped
+      // view reads them as available), and another request's.
+      const auto tag = [&](std::uint32_t i) { return static_cast<std::uint32_t>(c * 64 + i); };
+      for (FnNodeIndex i = 0; i < fg.node_count(); ++i) {
+        if (rng.below(3) != 0) continue;
+        const RequestId owner = rng.below(3) == 0 ? rid + 100000 : rid;
+        sys.reserve_node_transient(owner, tag(i), sys.component(g.component_at(i)).node,
+                                   fg.node(i).required, 0.0, 60.0);
+      }
+      for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+        if (rng.below(3) != 0) continue;
+        const FnEdge& edge = fg.edge(e);
+        sys.reserve_virtual_link_transient(rid, tag(32 + e),
+                                           sys.component(g.component_at(edge.from)).node,
+                                           sys.component(g.component_at(edge.to)).node,
+                                           edge.required_bandwidth_kbps, 0.0, 60.0);
+      }
+
+      if (demand_by_node(sys, g).size() < fg.node_count()) ++tally.colocated;
+      std::map<net::OverlayLinkIndex, int> carried;
+      for (FnEdgeIndex e = 0; e < fg.edge_count(); ++e) {
+        const NodeId a = sys.component(g.component_at(fg.edge(e).from)).node;
+        const NodeId b = sys.component(g.component_at(fg.edge(e).to)).node;
+        if (a == b) continue;
+        tally.repeated_pair += walked.count({a, b});
+        tally.reversed_pair += walked.count({b, a});
+        walked.insert({a, b});
+        sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) { ++carried[l]; });
+      }
+      int most = 0;
+      for (const auto& [link, n] : carried) most = std::max(most, n);
+      tally.shared_link += most >= 2 ? 1 : 0;
+      tally.triple_link += most >= 3 ? 1 : 0;
+    }
+
+    const StreamSystem::RequestScopedView scoped(sys, rid);
+    CountingView counting(scoped);
+    const auto before = score_in_batch(sys, eval, cases, counting, scoped, 0.0, seed, tally);
+    EXPECT_LE(counting.max_reads(), 1) << "seed " << seed << " round " << round;
+    EXPECT_FALSE(counting.node_reads.empty());
+
+    // A view or time other than the batch's fails, and so does a second
+    // batch; the open batch stays usable.
+    {
+      const FunctionGraph& fg = *cases[0].fg;
+      const ComponentGraph& g = *cases[0].g;
+      const auto batch = eval.batch(counting, 0.0);
+      EXPECT_THROW(eval.phi(fg, g.assignment(), scoped, 0.0), PreconditionError);
+      EXPECT_THROW(eval.phi(fg, g.assignment(), sys.true_state(), 0.0), PreconditionError);
+      EXPECT_THROW(eval.phi(fg, g.assignment(), counting, 1.0), PreconditionError);
+      EXPECT_THROW(eval.evaluate(g, fg.enumerate_paths(), QoSVector{}, PolicyConstraint{},
+                                 scoped, 0.0),
+                   PreconditionError);
+      EXPECT_THROW((void)eval.batch(counting, 0.0), PreconditionError);
+      const auto again = eval.phi(fg, g.assignment(), counting, 0.0);
+      ASSERT_EQ(again.has_value(), before[0].has_value());
+      if (again) {
+        EXPECT_EQ(*again, *before[0]);
+      }
+    }
+
+    // Change the state under every host and under one link of each
+    // composition: the next batch reads the new availability.
+    SessionId load = 2'000'000 + rid * 1000;
+    for (const NodeId n : hosts) sys.commit_node_direct(++load, n, ResourceVector(3.0, 30.0), 0.0);
+    for (std::size_t c = 0; c < cases.size(); c += 3) {
+      const ComponentGraph& g = *cases[c].g;
+      const FnEdge& edge = cases[c].fg->edge(0);
+      const NodeId a = sys.component(g.component_at(edge.from)).node;
+      const NodeId b = sys.component(g.component_at(edge.to)).node;
+      if (a == b) continue;
+      net::OverlayLinkIndex first = net::kNoOverlayLink;
+      sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+        if (first == net::kNoOverlayLink) first = l;
+      });
+      sys.link_pool(first).commit_direct(++load, 0.05 * w.min_link_kbps, 0.0);
+    }
+    counting.clear();
+    const auto after = score_in_batch(sys, eval, cases, counting, scoped, 0.0, seed, tally);
+    EXPECT_LE(counting.max_reads(), 1) << "seed " << seed << " round " << round;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      if (before[c] && before[c] != after[c]) ++tally.changed;
+    }
+    sys.cancel_request(rid);
+    sys.cancel_request(rid + 100000);
+  }
+}
+
+TEST(CompositionEvaluatorBatch, MatchesReferencesAndReadsOnceOnInet) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    World w = inet_world(seed);
+    check_batch(w, seed * 43, tally);
+  }
+  EXPECT_GE(tally.feasible, 200u);
+  EXPECT_GE(tally.infeasible, 200u);
+  EXPECT_GE(tally.colocated, 200u);
+  EXPECT_GE(tally.shared_link, 200u);
+  EXPECT_GE(tally.triple_link, 100u);
+  EXPECT_GE(tally.repeated_pair, 1000u);
+  EXPECT_GE(tally.reversed_pair, 1000u);
+  EXPECT_GE(tally.changed, 100u);
+}
+
+TEST(CompositionEvaluatorBatch, MatchesReferencesAndReadsOnceOnTorus) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    World w = torus_world(seed, 8, 10);
+    check_batch(w, seed * 47, tally);
+  }
+  EXPECT_GE(tally.feasible, 200u);
+  EXPECT_GE(tally.infeasible, 200u);
+  EXPECT_GE(tally.colocated, 200u);
+  EXPECT_GE(tally.shared_link, 200u);
+  EXPECT_GE(tally.triple_link, 100u);
+  EXPECT_GE(tally.repeated_pair, 1000u);
+  EXPECT_GE(tally.reversed_pair, 1000u);
+  EXPECT_GE(tally.changed, 100u);
 }
 
 }  // namespace

@@ -281,12 +281,114 @@ TEST_F(SearchFixture, MergeRequiresAgreementOnSharedNodes) {
 // beam search at alpha = 1.0 (full fan-out, effectively uncapped beam) is
 // EXACTLY as strong as exhaustive enumeration — it finds the same best phi,
 // and it never produces a composition when the exhaustive search proves no
-// qualified one exists. Instances stay small (<= 3 functions, <= 4
+// qualified one exists. Instances stay small (<= 4 functions, <= 4
 // candidates each) so the exhaustive oracle enumerates the full
 // cross-product without caps.
-TEST(SearchOracle, GuidedFullAlphaMatchesExhaustiveOnRandomInstances) {
+struct OracleTally {
   std::size_t solved = 0;
   std::size_t infeasible = 0;
+  std::size_t multi_hop = 0;    ///< the best composition walks a virtual link of 2+ hops
+  std::size_t shared_link = 0;  ///< the best composition carries two edges on one link
+};
+
+/// One random instance over `mesh`: a chain of 1–3 functions, or (`dag`) a
+/// split/merge 0 → {1, 2} → 3, with 1–4 candidates per function,
+/// background load on a few nodes (and, `link_load`, links), and a QoS
+/// bound that is tight about a third of the time.
+void check_oracle_instance(const net::OverlayMesh& mesh, util::Rng& rng, std::uint64_t seed,
+                           bool dag, bool link_load, OracleTally& tally) {
+  stream::StreamSystem sys(mesh, stream::FunctionCatalog::generate(6, rng));
+  for (stream::NodeId n = 0; n < sys.node_count(); ++n) {
+    sys.set_node_capacity(n,
+                          ResourceVector(rng.uniform(60.0, 140.0), rng.uniform(600.0, 1400.0)));
+  }
+  const std::size_t chain_len = dag ? 3 : 1 + static_cast<std::size_t>(rng.below(3));
+  const auto chain = acp::testing::compatible_chain(sys.catalog(), chain_len);
+  for (stream::FunctionId f : chain) {
+    const std::size_t cands = 1 + static_cast<std::size_t>(rng.below(4));
+    for (std::size_t i = 0; i < cands; ++i) {
+      sys.add_component(f, static_cast<stream::NodeId>(rng.below(sys.node_count())),
+                        QoSVector::from_metrics(rng.uniform(5.0, 25.0), 0.001));
+    }
+  }
+  // Background load on a few nodes so capacity feasibility is exercised.
+  const std::size_t loaded = static_cast<std::size_t>(rng.below(5));
+  for (std::size_t i = 0; i < loaded; ++i) {
+    sys.commit_node_direct(500 + i, static_cast<stream::NodeId>(rng.below(sys.node_count())),
+                           ResourceVector(rng.uniform(40.0, 90.0), rng.uniform(300.0, 800.0)),
+                           0.0);
+  }
+  if (link_load) {
+    for (net::OverlayLinkIndex l = 0; l < mesh.link_count(); ++l) {
+      if (rng.below(4) != 0) continue;
+      sys.link_pool(l).commit_direct(1000 + l, rng.uniform(0.3, 0.95) * mesh.link(l).capacity_kbps,
+                                     0.0);
+    }
+  }
+
+  workload::Request req;
+  req.id = seed;
+  auto demand = [&] {
+    return ResourceVector(rng.uniform(5.0, 30.0), rng.uniform(50.0, 200.0));
+  };
+  if (dag) {
+    req.graph.add_node(chain[0], demand());
+    req.graph.add_node(chain[1], demand());
+    req.graph.add_node(chain[1], demand());
+    req.graph.add_node(chain[2], demand());
+    req.graph.add_edge(0, 1, rng.uniform(50.0, 150.0));
+    req.graph.add_edge(0, 2, rng.uniform(50.0, 150.0));
+    req.graph.add_edge(1, 3, rng.uniform(50.0, 150.0));
+    req.graph.add_edge(2, 3, rng.uniform(50.0, 150.0));
+  } else {
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      req.graph.add_node(chain[i], demand());
+      if (i > 0) {
+        req.graph.add_edge(static_cast<FnNodeIndex>(i - 1), static_cast<FnNodeIndex>(i),
+                           rng.uniform(50.0, 150.0));
+      }
+    }
+  }
+  // Roughly a third of the instances get a QoS bound tight enough that
+  // usually no composition qualifies, exercising the nullopt branch.
+  const bool tight = rng.below(3) == 0;
+  req.qos_req = tight ? QoSVector::from_metrics(rng.uniform(0.5, 10.0), 0.0001)
+                      : QoSVector::from_metrics(rng.uniform(500.0, 3000.0), 0.5);
+
+  const auto best = exhaustive_best(sys, req, sys.true_state(), 0.0);
+  const auto g = guided_search(sys, req, 1.0, sys.true_state(), sys.true_state(), 0.0, 0.05,
+                               nullptr, /*beam_cap=*/100000);
+  if (!best.has_value()) {
+    ++tally.infeasible;
+    EXPECT_FALSE(g.has_value())
+        << "seed " << seed
+        << ": guided found a composition where the exhaustive oracle proves none qualifies";
+    return;
+  }
+  ++tally.solved;
+  ASSERT_TRUE(g.has_value()) << "seed " << seed;
+  const double best_phi = true_phi(sys, req, *best).value();
+  const auto g_phi = true_phi(sys, req, *g);
+  ASSERT_TRUE(g_phi.has_value()) << "seed " << seed;
+  EXPECT_NEAR(*g_phi, best_phi, 1e-9) << "seed " << seed;
+
+  std::size_t uses = 0;
+  std::size_t longest = 0;
+  for (stream::FnEdgeIndex e = 0; e < req.graph.edge_count(); ++e) {
+    const std::size_t hops =
+        mesh.virtual_link_hops(sys.component(best->component_at(req.graph.edge(e).from)).node,
+                               sys.component(best->component_at(req.graph.edge(e).to)).node);
+    uses += hops;
+    longest = std::max(longest, hops);
+  }
+  stream::CompositionEvaluator demand_of(sys);
+  demand_of.aggregate(req.graph, best->assignment());
+  tally.multi_hop += longest >= 2 ? 1 : 0;
+  tally.shared_link += demand_of.link_demand().size() < uses ? 1 : 0;
+}
+
+TEST(SearchOracle, GuidedFullAlphaMatchesExhaustiveOnRandomInstances) {
+  OracleTally inet;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     util::Rng rng(1000 + seed * 7919);
     net::TopologyConfig tc;
@@ -295,64 +397,27 @@ TEST(SearchOracle, GuidedFullAlphaMatchesExhaustiveOnRandomInstances) {
     net::OverlayConfig oc;
     oc.member_count = 8 + static_cast<std::size_t>(rng.below(8));
     const net::OverlayMesh mesh(ip, oc, rng);
-    stream::StreamSystem sys(mesh, stream::FunctionCatalog::generate(6, rng));
-    for (stream::NodeId n = 0; n < sys.node_count(); ++n) {
-      sys.set_node_capacity(
-          n, ResourceVector(rng.uniform(60.0, 140.0), rng.uniform(600.0, 1400.0)));
-    }
-    const std::size_t chain_len = 1 + static_cast<std::size_t>(rng.below(3));
-    const auto chain = acp::testing::compatible_chain(sys.catalog(), chain_len);
-    for (stream::FunctionId f : chain) {
-      const std::size_t cands = 1 + static_cast<std::size_t>(rng.below(4));
-      for (std::size_t i = 0; i < cands; ++i) {
-        sys.add_component(f, static_cast<stream::NodeId>(rng.below(sys.node_count())),
-                          QoSVector::from_metrics(rng.uniform(5.0, 25.0), 0.001));
-      }
-    }
-    // Background load on a few nodes so capacity feasibility is exercised.
-    const std::size_t loaded = static_cast<std::size_t>(rng.below(5));
-    for (std::size_t i = 0; i < loaded; ++i) {
-      sys.commit_node_direct(500 + i, static_cast<stream::NodeId>(rng.below(sys.node_count())),
-                             ResourceVector(rng.uniform(40.0, 90.0), rng.uniform(300.0, 800.0)),
-                             0.0);
-    }
-
-    workload::Request req;
-    req.id = seed;
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      req.graph.add_node(chain[i],
-                         ResourceVector(rng.uniform(5.0, 30.0), rng.uniform(50.0, 200.0)));
-      if (i > 0) {
-        req.graph.add_edge(static_cast<FnNodeIndex>(i - 1), static_cast<FnNodeIndex>(i),
-                           rng.uniform(50.0, 150.0));
-      }
-    }
-    // Roughly a third of the instances get a QoS bound tight enough that
-    // usually no composition qualifies, exercising the nullopt branch.
-    const bool tight = rng.below(3) == 0;
-    req.qos_req = tight ? QoSVector::from_metrics(rng.uniform(0.5, 10.0), 0.0001)
-                        : QoSVector::from_metrics(rng.uniform(500.0, 3000.0), 0.5);
-
-    const auto best = exhaustive_best(sys, req, sys.true_state(), 0.0);
-    const auto g = guided_search(sys, req, 1.0, sys.true_state(), sys.true_state(), 0.0, 0.05,
-                                 nullptr, /*beam_cap=*/100000);
-    if (!best.has_value()) {
-      ++infeasible;
-      EXPECT_FALSE(g.has_value())
-          << "seed " << seed
-          << ": guided found a composition where the exhaustive oracle proves none qualifies";
-      continue;
-    }
-    ++solved;
-    ASSERT_TRUE(g.has_value()) << "seed " << seed;
-    const double best_phi = true_phi(sys, req, *best).value();
-    const auto g_phi = true_phi(sys, req, *g);
-    ASSERT_TRUE(g_phi.has_value()) << "seed " << seed;
-    EXPECT_NEAR(*g_phi, best_phi, 1e-9) << "seed " << seed;
+    check_oracle_instance(mesh, rng, seed, /*dag=*/false, /*link_load=*/false, inet);
   }
   // The generator must hit both branches or the oracle is vacuous.
-  EXPECT_GE(solved, 10u);
-  EXPECT_GE(infeasible, 5u);
+  EXPECT_GE(inet.solved, 10u);
+  EXPECT_GE(inet.infeasible, 5u);
+
+  // Torus inputs: virtual links of up to 5 (5×6) or 9 (8×10) hops, chains
+  // and split/merge DAGs whose walks share overlay links, and loaded links,
+  // so both searches' evaluation batches serve repeated multi-hop walks.
+  OracleTally torus;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    util::Rng rng(2000 + seed * 7919);
+    const bool small = seed % 2 == 0;
+    const net::OverlayMesh mesh =
+        net::OverlayMesh::torus(small ? 5 : 8, small ? 6 : 10, 1.0, 1000.0);
+    check_oracle_instance(mesh, rng, seed, /*dag=*/seed % 3 != 0, /*link_load=*/true, torus);
+  }
+  EXPECT_GE(torus.solved, 30u);
+  EXPECT_GE(torus.infeasible, 5u);
+  EXPECT_GE(torus.multi_hop, 20u);
+  EXPECT_GE(torus.shared_link, 10u);
 }
 
 TEST_F(SearchFixture, MergeCapReported) {
