@@ -26,6 +26,7 @@
 #include "net/routing.h"
 #include "net/topology.h"
 #include "state/global_state.h"
+#include "util/arena.h"
 #include "workload/generator.h"
 
 namespace {
@@ -127,21 +128,99 @@ void BM_VirtualLinkPath(benchmark::State& state) {
 }
 BENCHMARK(BM_VirtualLinkPath);
 
+// One hop's candidate filter and ranking. torus:0 times the std::vector
+// wrappers (the filter, then the reference ranking's second read of every
+// qualified candidate) against TrueView on the Inet world; torus:1 times
+// the arena pass process_probe runs, ranking α = 0.3 of the candidates,
+// against the coarse view of the torus world, for the hop from the
+// request's first function to its first successor.
 void BM_CandidateFilterAndRank(benchmark::State& state) {
-  auto& w = World::instance();
-  auto& sys = *w.dep.sys;
+  if (state.range(0) == 0) {
+    auto& w = World::instance();
+    auto& sys = *w.dep.sys;
+    core::HopContext ctx;
+    ctx.sys = &sys;
+    ctx.req = &w.request;
+    ctx.next_fn = 0;
+    const auto& candidates = sys.components_providing(w.request.graph.node(0).function);
+    for (auto _ : state) {
+      auto q = core::filter_qualified(ctx, sys.true_state(), candidates);
+      auto best = core::select_best(ctx, sys.true_state(), std::move(q), 2, 0.05);
+      benchmark::DoNotOptimize(best.size());
+    }
+    return;
+  }
+  auto& w = World::instance(true);
+  const auto& sys = *w.dep.sys;
+  sim::Engine engine;
+  obs::MetricsRegistry counters;
+  state::GlobalStateManager mgr(sys, engine, counters);
+  mgr.start();
+  const auto& fg = w.request.graph;
+  const stream::FnNodeIndex next = fg.edge(fg.out_edges(0).front()).to;
+  const stream::ComponentId up = sys.components_providing(fg.node(0).function).front();
   core::HopContext ctx;
   ctx.sys = &sys;
   ctx.req = &w.request;
-  ctx.next_fn = 0;
-  const auto& candidates = sys.components_providing(w.request.graph.node(0).function);
+  ctx.next_fn = next;
+  ctx.has_upstream = true;
+  ctx.current_node = sys.component(up).node;
+  ctx.current_function = fg.node(0).function;
+  ctx.accumulated = sys.component(up).qos;
+  ctx.edge_bw_kbps = fg.edge(fg.find_edge(0, next)).required_bandwidth_kbps;
+  const auto& candidates = sys.components_providing(fg.node(next).function);
+  const std::size_t m = core::probe_count(candidates.size(), 0.3);
+  util::Arena arena;
   for (auto _ : state) {
-    auto q = core::filter_qualified(ctx, sys.true_state(), candidates);
-    auto best = core::select_best(ctx, sys.true_state(), std::move(q), 2, 0.05);
-    benchmark::DoNotOptimize(best.size());
+    arena.reset();
+    util::ArenaVector<core::ScoredCandidate> scored(arena);
+    core::filter_qualified_into(ctx, mgr.view(), candidates, scored);
+    core::select_best_into(scored, m, 0.05);
+    benchmark::DoNotOptimize(scored.size());
   }
 }
-BENCHMARK(BM_CandidateFilterAndRank);
+BENCHMARK(BM_CandidateFilterAndRank)->ArgName("torus")->Arg(0)->Arg(1);
+
+// GlobalStateManager's coarse virtual-link read of 256 fixed pairs. The
+// timed loop reads pairs the view already holds for this publication; the
+// after_publish_ns counter is the mean first read of a pair after a publish.
+void BM_CoarseVirtualLinkRead(benchmark::State& state) {
+  auto& w = World::instance(state.range(0) != 0);
+  const auto& sys = *w.dep.sys;
+  sim::Engine engine;
+  obs::MetricsRegistry counters;
+  state::GlobalStateManager mgr(sys, engine, counters);
+  mgr.start();
+  const stream::StateView& view = mgr.view();
+  const auto n = static_cast<std::uint64_t>(sys.node_count());
+  std::vector<std::pair<stream::NodeId, stream::NodeId>> pairs;
+  for (std::uint64_t i = 0; pairs.size() < 256; ++i) {
+    const auto a = static_cast<stream::NodeId>((i * 7919) % n);
+    const auto b = static_cast<stream::NodeId>((i * 104729 + 13) % n);
+    if (a != b) pairs.emplace_back(a, b);
+  }
+
+  constexpr int kPublishes = 20;
+  double first_reads_s = 0.0;
+  for (int r = 0; r < kPublishes; ++r) {
+    mgr.run_publish();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& [a, b] : pairs) {
+      benchmark::DoNotOptimize(view.virtual_link_available_kbps(sys.mesh(), a, b, 0.0));
+    }
+    first_reads_s +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  }
+  state.counters["after_publish_ns"] =
+      first_reads_s * 1e9 / static_cast<double>(kPublishes * pairs.size());
+
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(view.virtual_link_available_kbps(sys.mesh(), a, b, 0.0));
+  }
+}
+BENCHMARK(BM_CoarseVirtualLinkRead)->ArgName("torus")->Arg(0)->Arg(1);
 
 // CompositionEvaluator::phi of one feasible composition: demand
 // aggregation, the Eq. 4–5 checks and φ.

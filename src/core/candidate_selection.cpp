@@ -30,9 +30,12 @@ double congestion_function(const HopContext& ctx, const stream::StateView& view,
 std::vector<stream::ComponentId> filter_qualified(
     const HopContext& ctx, const stream::StateView& view,
     const std::vector<stream::ComponentId>& candidates, HopFilterStats* stats) {
+  std::vector<ScoredCandidate> scored;
+  scored.reserve(candidates.size());
+  filter_qualified_into(ctx, view, candidates, scored, stats);
   std::vector<stream::ComponentId> out;
-  out.reserve(candidates.size());
-  filter_qualified_into(ctx, view, candidates, out, stats);
+  out.reserve(scored.size());
+  for (const ScoredCandidate& s : scored) out.push_back(s.id);
   return out;
 }
 
@@ -40,8 +43,16 @@ std::vector<stream::ComponentId> select_best(const HopContext& ctx, const stream
                                              std::vector<stream::ComponentId> qualified,
                                              std::size_t m, double risk_eps,
                                              RankingPolicy policy) {
+  if (qualified.size() <= m) return qualified;
   std::vector<ScoredCandidate> scored;
-  select_best_into(ctx, view, qualified, m, risk_eps, policy, scored);
+  scored.reserve(qualified.size());
+  for (stream::ComponentId c : qualified) {
+    scored.push_back(
+        ScoredCandidate{c, risk_function(ctx, c), congestion_function(ctx, view, c)});
+  }
+  select_best_into(scored, m, risk_eps, policy);
+  qualified.resize(scored.size());
+  for (std::size_t i = 0; i < scored.size(); ++i) qualified[i] = scored[i].id;
   return qualified;
 }
 

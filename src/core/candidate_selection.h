@@ -15,6 +15,8 @@
 // entitled to — ACP uses the coarse global state, making this exactly the
 // paper's "select good candidates under the guidance of the coarse-grain
 // global state". QoS (Eq. 6, D(c)) is static and read from the system.
+// Steps 1 and 2 share one pass: the filter scores each qualified candidate
+// from the values its checks read, and the ranking sorts those scores.
 #pragma once
 
 #include <algorithm>
@@ -51,11 +53,14 @@ struct HopContext {
 
 /// Eq. 9 — risk: max over QoS dims of (accumulated + candidate + link) /
 /// requirement. Lower is better; > 1 means the bound is already blown. QoS
-/// is static, so no view is involved.
+/// is static, so no view is involved. The reference definition:
+/// filter_qualified_into computes the same value from its Eq. 6 total.
 double risk_function(const HopContext& ctx, stream::ComponentId candidate);
 
 /// Eq. 10 — congestion: Σ_k r_k/(rr_k + r_k) + b/(rb + b) for the candidate
 /// placement, on `view`'s (possibly coarse) availability. Lower is better.
+/// The reference definition: filter_qualified_into computes the same value
+/// from the availability its Eq. 7–8 checks read.
 double congestion_function(const HopContext& ctx, const stream::StateView& view,
                            stream::ComponentId candidate);
 
@@ -73,31 +78,33 @@ struct HopFilterStats {
   }
 };
 
-/// Filters `candidates` by the paper's per-hop qualification (rate
-/// compatibility + Eqs. 6–8) against `view`. When `stats` is non-null,
-/// every dropped candidate is attributed to the first check it failed
-/// (checks run in the order listed in HopFilterStats).
-std::vector<stream::ComponentId> filter_qualified(const HopContext& ctx,
-                                                  const stream::StateView& view,
-                                                  const std::vector<stream::ComponentId>& candidates,
-                                                  HopFilterStats* stats = nullptr);
+/// A qualified candidate with its (D, W) scores.
+struct ScoredCandidate {
+  stream::ComponentId id;
+  double risk;        ///< D(c), Eq. 9
+  double congestion;  ///< W(c), Eq. 10
+};
 
-/// Allocation-free variant: appends qualified candidates to `out` (any
-/// push_back container, e.g. util::ArenaVector) in input order — identical
-/// output to filter_qualified. The probing hot path feeds this from a
-/// per-trial arena so a hop costs zero allocator calls.
+/// The per-hop filter-and-score pass. Appends every candidate that passes
+/// the paper's per-hop qualification (rate compatibility + Eqs. 6–8)
+/// against `view` to `out` (any push_back container of ScoredCandidate,
+/// e.g. util::ArenaVector) in input order, scored from the Eq. 6 QoS total
+/// and the node and virtual-link availability the Eq. 7–8 checks read:
+/// each candidate's node and virtual link is read at most once, and the
+/// scores equal risk_function and congestion_function on the same view
+/// bit for bit. When `stats` is non-null, every dropped candidate is
+/// attributed to the first check it failed (checks run in the order listed
+/// in HopFilterStats).
 template <typename OutVec>
 void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
                            const std::vector<stream::ComponentId>& candidates, OutVec& out,
                            HopFilterStats* stats = nullptr);
 
-/// A candidate with its (D, W) scores — select_best's sorting scratch,
-/// public so arena callers can supply the scratch container themselves.
-struct ScoredCandidate {
-  stream::ComponentId id;
-  double risk;
-  double congestion;
-};
+/// The qualified ids of filter_qualified_into, in input order.
+std::vector<stream::ComponentId> filter_qualified(const HopContext& ctx,
+                                                  const stream::StateView& view,
+                                                  const std::vector<stream::ComponentId>& candidates,
+                                                  HopFilterStats* stats = nullptr);
 
 /// Ranking rule for guided per-hop selection. The paper uses
 /// kRiskThenCongestion; the others exist for the ranking ablation
@@ -108,20 +115,21 @@ enum class RankingPolicy {
   kCongestionOnly,      ///< W(c) only
 };
 
-/// Keeps the best `m` of `qualified` by (D, then W within `risk_eps`).
-/// Deterministic: ties beyond W break by component id.
+/// Truncates `scored` (any random-access container of ScoredCandidate) to
+/// its best `m` by (D, then W within `risk_eps`), in ranked order, reading
+/// no view. Deterministic: ties beyond W break by component id. Leaves
+/// `scored` untouched (in filter order) when it already fits.
+template <typename ScoredVec>
+void select_best_into(ScoredVec& scored, std::size_t m, double risk_eps,
+                      RankingPolicy policy = RankingPolicy::kRiskThenCongestion);
+
+/// Reference ranking: scores `qualified` with risk_function and
+/// congestion_function on `view`, then keeps the best `m` exactly as
+/// select_best_into does.
 std::vector<stream::ComponentId> select_best(const HopContext& ctx, const stream::StateView& view,
                                              std::vector<stream::ComponentId> qualified,
                                              std::size_t m, double risk_eps,
                                              RankingPolicy policy = RankingPolicy::kRiskThenCongestion);
-
-/// In-place variant: truncates `qualified` (any random-access container) to
-/// the best m using caller-supplied `scored` scratch — same ranking, same
-/// ties, same result order as select_best, no allocation when the scratch
-/// comes from an arena. Leaves `qualified` untouched when it already fits.
-template <typename Vec, typename ScoredVec>
-void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec& qualified,
-                      std::size_t m, double risk_eps, RankingPolicy policy, ScoredVec& scored);
 
 /// Uniformly random `m` of `qualified` (the RP baseline's per-hop rule).
 std::vector<stream::ComponentId> select_random(std::vector<stream::ComponentId> qualified,
@@ -142,7 +150,8 @@ void select_random_into(Vec& qualified, std::size_t m, util::Rng& rng) {
 std::size_t probe_count(std::size_t k, double alpha);
 
 // ---- Template implementations (shared by the std::vector wrappers in
-// candidate_selection.cpp and the arena-backed hot path in probing.cpp).
+// candidate_selection.cpp, the arena-backed hot path in probing.cpp and the
+// search walks in search.cpp).
 
 template <typename OutVec>
 void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
@@ -175,10 +184,12 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
     }
 
     // Eq. 7: candidate node must have the end-system resources.
-    if (!required.fits_within(view.node_available(cand.node, ctx.now))) {
+    const stream::ResourceVector avail = view.node_available(cand.node, ctx.now);
+    if (!required.fits_within(avail)) {
       ++local.node_resources;
       continue;
     }
+    double congestion = stream::congestion_terms(required, avail - required);
 
     // Eq. 8: the virtual link to the candidate must carry the edge's
     // bandwidth (co-location trivially passes).
@@ -189,25 +200,18 @@ void filter_qualified_into(const HopContext& ctx, const stream::StateView& view,
         ++local.link_bandwidth;
         continue;
       }
+      congestion += stream::congestion_term(ctx.edge_bw_kbps, ba - ctx.edge_bw_kbps);
     }
 
-    out.push_back(c);
+    out.push_back(ScoredCandidate{c, total.max_ratio(ctx.req->qos_req), congestion});
   }
   if (stats != nullptr) *stats = local;
 }
 
-template <typename Vec, typename ScoredVec>
-void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec& qualified,
-                      std::size_t m, double risk_eps, RankingPolicy policy, ScoredVec& scored) {
+template <typename ScoredVec>
+void select_best_into(ScoredVec& scored, std::size_t m, double risk_eps, RankingPolicy policy) {
   ACP_REQUIRE(risk_eps >= 0.0);
-  if (qualified.size() <= m) return;
-
-  scored.clear();
-  scored.reserve(qualified.size());
-  for (stream::ComponentId c : qualified) {
-    scored.push_back(
-        ScoredCandidate{c, risk_function(ctx, c), congestion_function(ctx, view, c)});
-  }
+  if (scored.size() <= m) return;
   std::sort(scored.begin(), scored.end(), [&](const ScoredCandidate& a, const ScoredCandidate& b) {
     switch (policy) {
       case RankingPolicy::kRiskOnly:
@@ -224,9 +228,7 @@ void select_best_into(const HopContext& ctx, const stream::StateView& view, Vec&
     }
     return a.id < b.id;
   });
-
-  qualified.resize(m);
-  for (std::size_t i = 0; i < m; ++i) qualified[i] = scored[i].id;
+  scored.resize(m);
 }
 
 }  // namespace acp::core

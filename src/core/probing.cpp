@@ -460,14 +460,16 @@ void ProbingProtocol::process_probe(const std::shared_ptr<Coordinator>& coord, P
     const obs::ProfScope rank_prof(prof_rank_, attr_, obs::attr_phase::kRank,
                                    static_cast<std::int64_t>(probe.at));
     if (coord->hop_policy == PerHopPolicy::kGuided) {
-      // Filter + rank on the coarse global state (possibly stale — that is
-      // the point: precise state comes from the probes themselves).
-      filter_qualified_into(ctx, *global_view_, candidates, selected, &filter_stats);
-      const std::size_t n_qualified = selected.size();
+      // Filter, score and rank in one pass over the coarse global state
+      // (possibly stale — that is the point: precise state comes from the
+      // probes themselves).
       util::ArenaVector<ScoredCandidate> scored(scratch_);
-      select_best_into(ctx, *global_view_, selected, m, config_.risk_eps, config_.ranking,
-                       scored);
-      rank_cutoff = n_qualified - selected.size();
+      filter_qualified_into(ctx, *global_view_, candidates, scored, &filter_stats);
+      const std::size_t n_qualified = scored.size();
+      select_best_into(scored, m, config_.risk_eps, config_.ranking);
+      rank_cutoff = n_qualified - scored.size();
+      selected.reserve(scored.size());
+      for (const ScoredCandidate& s : scored) selected.push_back(s.id);
     } else {
       // RP: random selection among discovered, rate-compatible candidates.
       for (ComponentId c : candidates) {

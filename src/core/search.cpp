@@ -30,6 +30,7 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
                                       const PathWalkConfig& cfg) {
   std::vector<PathAssignment> partials(1);  // one empty prefix
   const FunctionGraph& fg = req.graph;
+  std::vector<ScoredCandidate> qualified;  // one prefix's pass, reused
 
   for (std::size_t level = 0; level < path.size(); ++level) {
     const FnNodeIndex fn = path[level];
@@ -51,13 +52,14 @@ std::vector<PathAssignment> walk_path(const StreamSystem& sys, const workload::R
         ctx.edge_bw_kbps = fg.edge(fg.find_edge(path[level - 1], fn)).required_bandwidth_kbps;
       }
 
-      auto qualified = filter_qualified(ctx, view, candidates);
+      qualified.clear();
+      filter_qualified_into(ctx, view, candidates, qualified);
       if (cfg.bounded) {
-        const std::size_t m = probe_count(candidates.size(), cfg.alpha);
-        qualified = select_best(ctx, view, std::move(qualified), m, cfg.risk_eps);
+        select_best_into(qualified, probe_count(candidates.size(), cfg.alpha), cfg.risk_eps);
       }
 
-      for (ComponentId c : qualified) {
+      for (const ScoredCandidate& q : qualified) {
+        const ComponentId c = q.id;
         PathAssignment ext = prefix;
         ext.components.push_back(c);
         const stream::Component& comp = sys.component(c);

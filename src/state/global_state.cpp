@@ -1,12 +1,20 @@
 #include "state/global_state.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "util/flat_map.h"
 
 namespace acp::state {
 
-// Queryable coarse view over the published copies. When attached, every
-// read observes its staleness — one histogram observation per read, through
-// handles resolved on the first read.
+// Queryable coarse view over the published copies. Virtual-link reads are
+// answered from a memo of each ordered pair's bottleneck, filled on the
+// pair's first read after a publication and dropped wholesale at the next:
+// published link values change only at a publish, so a memoized entry is
+// the same minimum a fresh walk would take. When attached, every query — a
+// node, a link or a virtual link, memo hits included — observes its
+// staleness once, through handles resolved on the first query.
 class GlobalStateManager::CoarseView final : public stream::StateView {
  public:
   CoarseView(const GlobalStateManager& m, obs::Observability* obs, bool gauge)
@@ -29,6 +37,24 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
     return m_.links_.published(l);
   }
 
+  double virtual_link_available_kbps(const net::OverlayMesh& mesh, stream::NodeId a,
+                                     stream::NodeId b, double /*now*/) const override {
+    if (a == b) return std::numeric_limits<double>::infinity();
+    ACP_REQUIRE(&mesh == &m_.sys_->mesh());
+    if (observed_) observe(m_.links_.published_at());
+    if (memo_publication_ != m_.publication_) {
+      memo_.clear();
+      memo_publication_ = m_.publication_;
+    }
+    const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+    if (const double* hit = memo_.find(key)) return *hit;
+    double avail = std::numeric_limits<double>::infinity();
+    mesh.for_each_virtual_link(
+        a, b, [&](net::OverlayLinkIndex l) { avail = std::min(avail, m_.links_.published(l)); });
+    memo_.insert_or_assign(key, avail);
+    return avail;
+  }
+
  private:
   void observe(double updated_at) const {
     const double age = m_.engine_->now() - updated_at;
@@ -40,6 +66,9 @@ class GlobalStateManager::CoarseView final : public stream::StateView {
   bool observed_;
   mutable obs::HistogramHandle staleness_;
   mutable obs::GaugeHandle age_;  ///< inert on shard views
+  /// (a << 32 | b) → bottleneck of a→b as of publication memo_publication_.
+  mutable util::FlatMap<std::uint64_t, double> memo_;
+  mutable std::uint64_t memo_publication_ = 0;
 };
 
 GlobalStateManager::GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
@@ -82,6 +111,7 @@ const stream::StateView& GlobalStateManager::view() const { return *view_; }
 void GlobalStateManager::start() {
   ACP_REQUIRE_MSG(!started_, "start() may only be called once");
   started_ = true;
+  ++publication_;
   const double now = engine_->now();
   // Seed every copy from ground truth — a fresh system announces itself.
   for (NodeHandle n = 0; n < nodes_.size(); ++n) {
@@ -169,6 +199,7 @@ void GlobalStateManager::run_publish() {
   // state (one bulk update message) and the role rotates for load sharing.
   const bool torn = faults_ != nullptr && faults_->consume_state_tear();
   links_.publish(engine_->now(), torn);
+  ++publication_;
   if (torn) updates_torn_.add();
   global_updates_.add();
   updates_publish_.add();

@@ -9,10 +9,17 @@
 // query the published copy. QoS is static in the simulated system, so it
 // has no coarse copy (StreamSystem serves it).
 //
+// The paper's aggregation node folds the link states into an all-pairs
+// virtual-link table once per publication. Here that table is realized
+// lazily: each CoarseView memoizes a pair's bottleneck bandwidth the first
+// time it is read after a publication, and forgets the memo at the next
+// one, so a pair is walked at most once per publication per view.
+//
 // The resulting CoarseView is what ACP's candidate selection consults:
 // cheap to query, possibly stale — precise state comes from probes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -33,9 +40,9 @@ struct GlobalStateConfig {
   double threshold_fraction = 0.10;
   /// How often the aggregation node publishes collected link states into
   /// the globally queryable copy. (The paper recomputes the all-pairs
-  /// virtual-link table at a long period — e.g. 10 minutes; we derive
-  /// per-pair state on demand from published per-link states, so this is
-  /// the publish period of those link states.)
+  /// virtual-link table at a long period — e.g. 10 minutes; the coarse view
+  /// derives each pair's entry from the published per-link states on its
+  /// first read after a publish, so this is the period of both.)
   double aggregation_publish_interval_s = 120.0;
   /// Aggregation role rotation: round-robin each publish period.
   bool rotate_aggregation_node = true;
@@ -48,9 +55,9 @@ class GlobalStateManager {
   /// acp.state.aggregation_updates). `obs`, when non-null, records
   /// acp.state.updates{kind} counters and — the number the paper's
   /// coarse-grain-state argument hinges on — the staleness of every coarse
-  /// read (acp.state.read_staleness_s histogram and
-  /// acp.state.staleness_age_s gauge): sim-time age of the published copy
-  /// at the moment composition logic consults it.
+  /// query of a node, link or virtual link (acp.state.read_staleness_s
+  /// histogram and acp.state.staleness_age_s gauge): sim-time age of the
+  /// published copy at the moment composition logic consults it.
   GlobalStateManager(const stream::StreamSystem& sys, sim::Engine& engine,
                      obs::MetricsRegistry& counters, GlobalStateConfig config = {},
                      obs::Observability* obs = nullptr);
@@ -69,8 +76,9 @@ class GlobalStateManager {
   /// A detached view over the same published copies that records read
   /// staleness into `obs` (may be null) instead of the manager's own sink.
   /// Shard workers consult a private one each, so concurrent reads never
-  /// share a histogram; the staleness-age gauge stays with view() — a
-  /// point-in-time sample has no deterministic cross-shard merge.
+  /// share a histogram or a virtual-link memo; the staleness-age gauge
+  /// stays with view() — a point-in-time sample has no deterministic
+  /// cross-shard merge.
   std::unique_ptr<stream::StateView> make_shard_view(obs::Observability* obs) const;
 
   /// Which node currently plays the aggregation role.
@@ -122,6 +130,9 @@ class GlobalStateManager {
 
   stream::NodeId aggregation_node_ = 0;
   bool started_ = false;
+  /// Bumped by start() and by every publish that lands (torn or not); a
+  /// view's virtual-link memo is valid only for the value it was filled at.
+  std::uint64_t publication_ = 0;
   std::unique_ptr<CoarseView> view_;
 };
 

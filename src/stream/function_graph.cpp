@@ -1,8 +1,9 @@
 #include "stream/function_graph.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
+
+#include "util/small_vec.h"
 
 namespace acp::stream {
 
@@ -80,11 +81,13 @@ bool FunctionGraph::is_path() const {
 }
 
 bool FunctionGraph::is_dag() const {
-  // Kahn's algorithm: all nodes removable iff acyclic.
-  std::vector<std::size_t> indeg(nodes_.size());
-  for (FnNodeIndex i = 0; i < nodes_.size(); ++i) indeg[i] = in_[i].size();
-  std::vector<FnNodeIndex> stack;
+  // Kahn's algorithm: all nodes removable iff acyclic. Template-sized
+  // graphs keep both work lists inline.
+  util::SmallVec<std::size_t, 16> indeg;
+  indeg.resize(nodes_.size());
+  util::SmallVec<FnNodeIndex, 16> stack;
   for (FnNodeIndex i = 0; i < nodes_.size(); ++i) {
+    indeg[i] = in_[i].size();
     if (indeg[i] == 0) stack.push_back(i);
   }
   std::size_t removed = 0;
@@ -120,19 +123,41 @@ std::vector<FnNodeIndex> FunctionGraph::topological_order() const {
 
 std::vector<std::vector<FnNodeIndex>> FunctionGraph::enumerate_paths(std::size_t max_paths) const {
   ACP_REQUIRE_MSG(is_dag(), "path enumeration requires a DAG");
+  // Count first, so the result is allocated once: paths from `n` to a sink,
+  // giving up (returning at most limit + 1) once `limit` is exceeded.
+  const auto count_from = [this](const auto& self, FnNodeIndex n, std::size_t limit) {
+    if (out_[n].empty()) return std::size_t{1};
+    std::size_t total = 0;
+    for (FnEdgeIndex e : out_[n]) {
+      total += self(self, edges_[e].to, limit - total);
+      if (total > limit) break;
+    }
+    return total;
+  };
+  std::size_t count = 0;
+  for (FnNodeIndex s = 0; s < nodes_.size(); ++s) {
+    if (!in_[s].empty()) continue;
+    count += count_from(count_from, s, max_paths - count);
+    ACP_REQUIRE_MSG(count <= max_paths, "function graph has too many source-sink paths");
+  }
+
+  // Depth-first from each source in ascending order, out-edges in insertion
+  // order.
   std::vector<std::vector<FnNodeIndex>> paths;
-  std::vector<FnNodeIndex> current;
-  std::function<void(FnNodeIndex)> dfs = [&](FnNodeIndex n) {
+  paths.reserve(count);
+  util::SmallVec<FnNodeIndex, 16> current;
+  const auto walk = [&](const auto& self, FnNodeIndex n) -> void {
     current.push_back(n);
     if (out_[n].empty()) {
-      ACP_REQUIRE_MSG(paths.size() < max_paths, "function graph has too many source-sink paths");
-      paths.push_back(current);
+      paths.emplace_back(current.begin(), current.end());
     } else {
-      for (FnEdgeIndex e : out_[n]) dfs(edges_[e].to);
+      for (FnEdgeIndex e : out_[n]) self(self, edges_[e].to);
     }
     current.pop_back();
   };
-  for (FnNodeIndex s : sources()) dfs(s);
+  for (FnNodeIndex s = 0; s < nodes_.size(); ++s) {
+    if (in_[s].empty()) walk(walk, s);
+  }
   return paths;
 }
 

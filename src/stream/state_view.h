@@ -41,8 +41,10 @@ class StateView {
 
   /// Bottleneck available bandwidth of the virtual link a→b: min over its
   /// overlay links; +infinity when a == b (co-location, paper footnote 8).
-  double virtual_link_available_kbps(const net::OverlayMesh& mesh, NodeId a, NodeId b,
-                                     double now) const;
+  /// The default walks the overlay links through link_available_kbps; the
+  /// coarse view answers from a per-publication memo of the same minimum.
+  virtual double virtual_link_available_kbps(const net::OverlayMesh& mesh, NodeId a, NodeId b,
+                                             double now) const;
 };
 
 }  // namespace acp::stream

@@ -145,7 +145,38 @@ TEST(FunctionGraph, PathEnumerationCapIsEnforced) {
     prev = join;
   }
   EXPECT_THROW(g.enumerate_paths(), acp::PreconditionError);
-  EXPECT_EQ(g.enumerate_paths(1024).size(), 256u);
+  EXPECT_THROW(g.enumerate_paths(255), acp::PreconditionError);
+  const auto paths = g.enumerate_paths(256);
+  ASSERT_EQ(paths.size(), 256u);
+  EXPECT_EQ(g.enumerate_paths(1024), paths);
+  // Depth-first, out-edges in insertion order: the first path takes every
+  // diamond's first arm (node 1 + 3d), the last every second arm (2 + 3d).
+  std::vector<FnNodeIndex> first{0}, last{0};
+  for (FnNodeIndex d = 0; d < kDiamonds; ++d) {
+    first.insert(first.end(), {1 + 3 * d, 3 + 3 * d});
+    last.insert(last.end(), {2 + 3 * d, 3 + 3 * d});
+  }
+  EXPECT_EQ(paths.front(), first);
+  EXPECT_EQ(paths.back(), last);
+  // Path 1 differs from path 0 only in the last diamond.
+  std::vector<FnNodeIndex> second = first;
+  second[second.size() - 2] = 2 + 3 * (kDiamonds - 1);
+  EXPECT_EQ(paths[1], second);
+}
+
+TEST(FunctionGraph, PathEnumerationVisitsSourcesInAscendingOrder) {
+  // Two sources feeding one sink; the higher-numbered source is added first
+  // as an edge, but enumeration starts from the lowest source index.
+  FunctionGraph g;
+  const auto sink = g.add_node(0, {});
+  const auto s1 = g.add_node(1, {});
+  const auto s2 = g.add_node(2, {});
+  g.add_edge(s2, sink, 1.0);
+  g.add_edge(s1, sink, 1.0);
+  const auto paths = g.enumerate_paths();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(paths[0], (std::vector<FnNodeIndex>{s1, sink}));
+  EXPECT_EQ(paths[1], (std::vector<FnNodeIndex>{s2, sink}));
 }
 
 TEST(FunctionGraph, SingleNodeGraphHasOnePath) {

@@ -212,14 +212,53 @@ TEST_F(ObsProbingFixture, ImpossibleQoSLeavesDeathBreakdownAndFailureSpan) {
   EXPECT_EQ(setup->count(), 1u);
 }
 
+/// Forwards every query to the coarse view and counts the ones that read
+/// published state (a co-located virtual link reads none), plus the overlay
+/// links those virtual links span.
+class CoarseQueryCounter final : public stream::StateView {
+ public:
+  explicit CoarseQueryCounter(const stream::StateView& inner) : inner_(inner) {}
+
+  ResourceVector node_available(stream::NodeId node, double now) const override {
+    ++queries;
+    return inner_.node_available(node, now);
+  }
+  double link_available_kbps(net::OverlayLinkIndex l, double now) const override {
+    ++queries;
+    return inner_.link_available_kbps(l, now);
+  }
+  double virtual_link_available_kbps(const net::OverlayMesh& mesh, stream::NodeId a,
+                                     stream::NodeId b, double now) const override {
+    if (a != b) {
+      ++queries;
+      ++virtual_link_queries;
+      overlay_links_spanned += mesh.virtual_link_hops(a, b);
+    }
+    return inner_.virtual_link_available_kbps(mesh, a, b, now);
+  }
+
+  mutable std::size_t queries = 0;
+  mutable std::size_t virtual_link_queries = 0;
+  mutable std::size_t overlay_links_spanned = 0;
+
+ private:
+  const stream::StateView& inner_;
+};
+
 TEST_F(ObsProbingFixture, CoarseStateReadsRecordStaleness) {
+  const CoarseQueryCounter counted(global_state->view());
+  protocol = std::make_unique<ProbingProtocol>(*sys, *sessions, engine, counters, *registry,
+                                               counted, util::Rng(7), ProbingConfig{}, &obs);
   run(make_request(), 0.5);
-  // Guided selection consulted the coarse view, so staleness observations
-  // must exist; right after start() the copies are fresh (age ≈ 0).
+  // Every coarse query of the hops observes its staleness exactly once,
+  // however many overlay links a virtual link spans; right after start()
+  // the copies are fresh (age ≈ 0).
+  ASSERT_GT(counted.virtual_link_queries, 0u);
+  ASSERT_GT(counted.overlay_links_spanned, counted.virtual_link_queries);
   const obs::Histogram* staleness =
       obs.metrics.find_histogram(obs::metric::kStateReadStaleness);
   ASSERT_NE(staleness, nullptr);
-  EXPECT_GT(staleness->count(), 0u);
+  EXPECT_EQ(staleness->count(), counted.queries);
   EXPECT_GE(staleness->min(), 0.0);
   const obs::Gauge* age = obs.metrics.find_gauge(obs::metric::kStateStalenessAge);
   ASSERT_NE(age, nullptr);

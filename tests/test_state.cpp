@@ -2,8 +2,15 @@
 // global state, aggregation publish, local state staleness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "fault/fault.h"
 #include "net/topology.h"
 #include "state/global_state.h"
 #include "state/local_state.h"
@@ -21,6 +28,18 @@ struct StateFixture : ::testing::Test {
     oc.member_count = 10;
     util::Rng orng(43);
     mesh = std::make_unique<net::OverlayMesh>(ip, oc, orng);
+    util::Rng crng(44);
+    sys = std::make_unique<stream::StreamSystem>(*mesh,
+                                                 stream::FunctionCatalog::generate(5, crng));
+    for (stream::NodeId n = 0; n < sys->node_count(); ++n) {
+      sys->set_node_capacity(n, stream::ResourceVector(100.0, 1000.0));
+    }
+  }
+
+  /// Replaces the fixture's world with `m` and a fresh system over it.
+  void use_mesh(net::OverlayMesh m) {
+    sys.reset();
+    mesh = std::make_unique<net::OverlayMesh>(std::move(m));
     util::Rng crng(44);
     sys = std::make_unique<stream::StreamSystem>(*mesh,
                                                  stream::FunctionCatalog::generate(5, crng));
@@ -106,6 +125,153 @@ TEST_F(StateFixture, StartTwiceThrows) {
   GlobalStateManager mgr(*sys, engine, counters);
   mgr.start();
   EXPECT_THROW(mgr.start(), acp::PreconditionError);
+}
+
+// ---- Virtual-link memo -----------------------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The bottleneck of a→b walked over `view`'s per-link reads: the value the
+/// coarse view's memo must reproduce bit for bit.
+double walked_bottleneck(const net::OverlayMesh& mesh, const stream::StateView& view,
+                         stream::NodeId a, stream::NodeId b) {
+  double avail = std::numeric_limits<double>::infinity();
+  if (a == b) return avail;
+  mesh.for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    avail = std::min(avail, view.link_available_kbps(l, 0.0));
+  });
+  return avail;
+}
+
+/// Reads every ordered pair twice through `view` (the second read is a memo
+/// hit) and counts the reads that differ from the walk.
+std::size_t memo_mismatches(const stream::StreamSystem& sys, const stream::StateView& view) {
+  std::size_t mismatches = 0;
+  for (stream::NodeId a = 0; a < sys.node_count(); ++a) {
+    for (stream::NodeId b = 0; b < sys.node_count(); ++b) {
+      const std::uint64_t want = bits(walked_bottleneck(sys.mesh(), view, a, b));
+      for (int read = 0; read < 2; ++read) {
+        if (bits(view.virtual_link_available_kbps(sys.mesh(), a, b, 0.0)) != want) ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+/// Ordered pairs whose bottleneck differs from the reverse direction's.
+std::size_t asymmetric_pairs(const stream::StreamSystem& sys, const stream::StateView& view) {
+  std::size_t n = 0;
+  for (stream::NodeId a = 0; a < sys.node_count(); ++a) {
+    for (stream::NodeId b = 0; b < sys.node_count(); ++b) {
+      n += walked_bottleneck(sys.mesh(), view, a, b) != walked_bottleneck(sys.mesh(), view, b, a);
+    }
+  }
+  return n;
+}
+
+/// Commits 15–85% of every third link's capacity (links ≡ `phase` mod 3),
+/// so each phase moves fresh links by more than the update threshold.
+void load_links(stream::StreamSystem& sys, std::uint32_t phase) {
+  for (net::OverlayLinkIndex l = phase; l < sys.mesh().link_count(); l += 3) {
+    const double share = 0.15 + 0.7 * static_cast<double>((l * 37) % 101) / 100.0;
+    ASSERT_TRUE(
+        sys.link_pool(l).commit_direct(100 + phase, share * sys.link_pool(l).capacity(), 0.0));
+  }
+}
+
+/// Drives the manager through every kind of publication and checks, after
+/// each, that the coarse view and a shard view answer every ordered pair
+/// exactly as a walk over their own link reads does.
+void check_memo_against_walk(stream::StreamSystem& sys, sim::Engine& engine,
+                             obs::MetricsRegistry& counters, bool expect_asymmetry) {
+  GlobalStateManager mgr(sys, engine, counters);
+  fault::FaultInjector faults(sys, engine, util::Rng(99), fault::FaultPlan{}, {}, nullptr);
+  mgr.set_fault_injector(&faults);
+  const stream::StateView& view = mgr.view();
+  const auto shard = mgr.make_shard_view(nullptr);
+
+  // Before start() every published value is zero; start() must drop the
+  // entries memoized from them.
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "before start";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "before start (shard)";
+  mgr.start();
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "after start";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "after start (shard)";
+
+  mgr.run_publish();
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "after an unchanged publish";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "after an unchanged publish (shard)";
+
+  load_links(sys, 0);
+  mgr.run_check_sweep();
+  mgr.run_publish();
+  if (expect_asymmetry) {
+    EXPECT_GT(asymmetric_pairs(sys, view), 0u);
+  }
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "after a changing publish";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "after a changing publish (shard)";
+
+  load_links(sys, 1);
+  mgr.run_check_sweep();
+  faults.tear_state();
+  mgr.run_publish();
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kStateGlobalUpdates), 3u);
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "after a torn publish";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "after a torn publish (shard)";
+
+  faults.freeze_state(1.0e6);
+  load_links(sys, 2);
+  mgr.run_check_sweep();
+  mgr.run_publish();
+  EXPECT_EQ(counters.counter_family_total(obs::metric::kStateGlobalUpdates), 3u);
+  EXPECT_EQ(memo_mismatches(sys, view), 0u) << "after a suppressed publish";
+  EXPECT_EQ(memo_mismatches(sys, *shard), 0u) << "after a suppressed publish (shard)";
+}
+
+TEST_F(StateFixture, MemoizedVirtualLinkReadsMatchTheWalkOnATorus) {
+  use_mesh(net::OverlayMesh::torus(5, 6, 1.0, 1.0e6));
+  check_memo_against_walk(*sys, engine, counters, /*expect_asymmetry=*/true);
+}
+
+TEST_F(StateFixture, MemoizedVirtualLinkReadsMatchTheWalkOnALossyInetMesh) {
+  net::OverlayConfig oc;
+  oc.member_count = 40;
+  oc.min_loss_rate = 0.001;
+  oc.max_loss_rate = 0.01;
+  util::Rng orng(43);
+  use_mesh(net::OverlayMesh(ip, oc, orng));
+  check_memo_against_walk(*sys, engine, counters, /*expect_asymmetry=*/false);
+}
+
+TEST_F(StateFixture, EachCoarseVirtualLinkQueryObservesStalenessOnce) {
+  use_mesh(net::OverlayMesh::torus(5, 6, 1.0, 1.0e6));
+  obs::Observability obs;
+  GlobalStateManager mgr(*sys, engine, counters, GlobalStateConfig{}, &obs);
+  mgr.start();
+  engine.run_until(30.0);  // three check sweeps, no publish: the copy is 30 s old
+  const stream::StateView& view = mgr.view();
+
+  // Multi-hop pairs, with repeats (memo hits) and both directions.
+  const std::vector<std::pair<stream::NodeId, stream::NodeId>> pairs{
+      {0, 14}, {0, 14}, {14, 0}, {3, 20}, {29, 1}, {3, 20}, {0, 14}, {7, 25}};
+  for (const auto& [a, b] : pairs) {
+    ASSERT_GE(mesh->virtual_link_hops(a, b), 2u);
+    view.virtual_link_available_kbps(*mesh, a, b, engine.now());
+  }
+  const obs::Histogram* staleness = obs.metrics.find_histogram(obs::metric::kStateReadStaleness);
+  ASSERT_NE(staleness, nullptr);
+  EXPECT_EQ(staleness->count(), pairs.size());
+  EXPECT_DOUBLE_EQ(staleness->min(), 30.0);
+  EXPECT_DOUBLE_EQ(staleness->sum(), 30.0 * static_cast<double>(pairs.size()));
+
+  // Co-location reads no state, so it observes nothing.
+  view.virtual_link_available_kbps(*mesh, 5, 5, engine.now());
+  EXPECT_EQ(staleness->count(), pairs.size());
+
+  const obs::Gauge* age = obs.metrics.find_gauge(obs::metric::kStateStalenessAge);
+  ASSERT_NE(age, nullptr);
+  EXPECT_TRUE(age->ever_set());
+  EXPECT_DOUBLE_EQ(age->value(), 30.0);
 }
 
 // ---- Local state -------------------------------------------------------------
