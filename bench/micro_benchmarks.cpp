@@ -71,6 +71,48 @@ struct World {
     return w;
   }
 
+  /// A deputy's returned walks for one diamond request (the first generated
+  /// one with two paths): along each path, every combination of each
+  /// function's first candidates, two at the shared split and merge nodes
+  /// and three elsewhere, so the merge joins four buckets.
+  struct Diamond {
+    workload::Request request;
+    stream::FnPaths paths;
+    std::vector<std::vector<core::PathAssignment>> per_path;
+  };
+  const Diamond& diamond() {
+    if (diamond_) return *diamond_;
+    const auto& sys = *dep.sys;
+    Diamond d;
+    do {
+      d.request = gen_->make_request(0.0);
+      d.paths = d.request.graph.enumerate_paths();
+    } while (d.paths.size() != 2);
+    for (const auto& path : d.paths) {
+      std::vector<std::vector<stream::ComponentId>> choices;
+      for (const stream::FnNodeIndex fn : path) {
+        const auto& cands = sys.components_providing(d.request.graph.node(fn).function);
+        const bool shared = fn == path.front() || fn == path.back();
+        const std::size_t n = std::min<std::size_t>(cands.size(), shared ? 2 : 3);
+        choices.emplace_back(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(n));
+      }
+      std::vector<core::PathAssignment> walks(1);
+      for (const auto& options : choices) {
+        std::vector<core::PathAssignment> next;
+        for (const auto& prefix : walks) {
+          for (const stream::ComponentId c : options) {
+            next.push_back(prefix);
+            next.back().components.push_back(c);
+          }
+        }
+        walks = std::move(next);
+      }
+      d.per_path.push_back(std::move(walks));
+    }
+    diamond_ = std::move(d);
+    return *diamond_;
+  }
+
   /// A feasible composition to time: the guided (α = 0.3) composition of
   /// the first generated request that has one.
   const stream::ComponentGraph& composed() {
@@ -87,6 +129,7 @@ struct World {
   std::unique_ptr<workload::RequestGenerator> gen_;
   std::optional<workload::Request> composed_request_;  ///< composed_'s graph lives here
   std::optional<stream::ComponentGraph> composed_;
+  std::optional<Diamond> diamond_;
 };
 
 void BM_TopologyGenerate(benchmark::State& state) {
@@ -273,6 +316,38 @@ void BM_GuidedSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GuidedSearch)->ArgNames({"alpha", "torus"})->ArgsProduct({{1, 3, 10}, {0, 1}});
+
+// The deputy's min-φ pick over the fixture's diamond cross-product at
+// merge_cap 512: the bounded best-first join (join:1) against the
+// materialized merge it replaced (join:0: merge_path_assignments, then
+// score_qualified and the (φ, index) head).
+void BM_MinPhiPick(benchmark::State& state) {
+  auto& w = World::instance(state.range(1) != 0);
+  const auto& sys = *w.dep.sys;
+  const auto& d = w.diamond();
+  constexpr std::size_t kMergeCap = 512;
+  stream::CompositionEvaluator eval(sys);
+  core::BestPhiJoin join;
+  core::JoinBest last;
+  for (auto _ : state) {
+    if (state.range(0) != 0) {
+      last = join.run(eval, d.request, d.paths, d.per_path, kMergeCap, sys.true_state(), 0.0);
+      benchmark::DoNotOptimize(last.phi);
+    } else {
+      bool cap_hit = false;
+      const auto graphs =
+          core::merge_path_assignments(d.request.graph, d.paths, d.per_path, kMergeCap, &cap_hit);
+      const auto scored =
+          core::score_qualified(eval, d.request, d.paths, graphs, sys.true_state(), 0.0);
+      benchmark::DoNotOptimize(std::min_element(scored.begin(), scored.end()));
+    }
+  }
+  last = join.run(eval, d.request, d.paths, d.per_path, kMergeCap, sys.true_state(), 0.0);
+  state.counters["merged"] = static_cast<double>(last.merged);
+  state.counters["evaluated"] = static_cast<double>(state.range(0) != 0 ? last.evaluated
+                                                                         : last.merged);
+}
+BENCHMARK(BM_MinPhiPick)->ArgNames({"join", "torus"})->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_GlobalStateSweep(benchmark::State& state) {
   auto& w = World::instance();

@@ -641,20 +641,39 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
                  static_cast<std::int64_t>(coord->deputy));
   }
 
+  // Qualify against precise state and pick by the selection policy. The
+  // view is scoped to the request: its own transient reservations (placed
+  // by its probes exactly so these resources are held for it) read as
+  // available.
+  const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
+  if (coord->selection_policy == SelectionPolicy::kBestPhi && shard_ == nullptr &&
+      coord->paths.size() <= 2) {
+    // Serially nothing changes between the pick and commit(), so the head of
+    // the (φ, index) ranking commits: the bounded join finds it without
+    // merging or scoring the rest.
+    const JoinBest best =
+        join_.run(evaluator_, req, coord->paths, coord->collected, config_.merge_cap, view, now);
+    out.candidates_examined = best.merged;
+    out.candidates_qualified = best.qualified;
+    const std::pair<double, std::size_t> head{best.phi, 0};
+    const std::size_t ranked = best.graph ? 1 : 0;
+    out = commit(*coord, {best.graph ? &*best.graph : nullptr, ranked}, {&head, ranked}, out,
+                 best.cap_hit);
+    prof.reset();
+    coord->done(out);
+    return;
+  }
+
   // Merge per-path assignments into complete component graphs (DAG case:
-  // combinations must agree on shared split/merge nodes).
+  // combinations must agree on shared split/merge nodes), then score every
+  // qualified one: SP draws among them, and sharded, the state is
+  // window-frozen, so the ranking is the preference order the barrier's
+  // commit re-checks against live state.
   bool cap_hit = false;
   auto graphs =
       merge_path_assignments(req.graph, coord->paths, coord->collected, config_.merge_cap,
                              &cap_hit);
   out.candidates_examined = graphs.size();
-
-  // Qualify against precise state and rank by the selection policy. The
-  // view is scoped to the request: its own transient reservations (placed
-  // by its probes exactly so these resources are held for it) read as
-  // available. Sharded, this state is window-frozen, so the ranking is the
-  // preference order the barrier's commit re-checks against live state.
-  const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
   auto ranked = score_qualified(evaluator_, req, coord->paths, graphs, view, now);
   out.candidates_qualified = ranked.size();
   if (coord->selection_policy == SelectionPolicy::kBestPhi) {
@@ -678,8 +697,8 @@ void ProbingProtocol::finalize(const std::shared_ptr<Coordinator>& coord) {
 }
 
 CompositionOutcome ProbingProtocol::commit(
-    const Coordinator& coord, const std::vector<stream::ComponentGraph>& graphs,
-    const std::vector<std::pair<double, std::size_t>>& ranked, CompositionOutcome out,
+    const Coordinator& coord, std::span<const stream::ComponentGraph> graphs,
+    std::span<const std::pair<double, std::size_t>> ranked, CompositionOutcome out,
     bool cap_hit) {
   const workload::Request& req = *coord.req;
   const double now = engine_->now();

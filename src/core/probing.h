@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "core/candidate_selection.h"
 #include "core/composer.h"
@@ -164,10 +165,12 @@ class ProbingProtocol : public ProbingExecutor {
   void process_probe(const std::shared_ptr<Coordinator>& coord, Probe probe);
   void probe_returned(const std::shared_ptr<Coordinator>& coord, const Probe& probe);
   void probe_ended(const std::shared_ptr<Coordinator>& coord);
-  /// The deputy's optimal-composition step (paper Sec. 3.3 step 3): merges
-  /// the returned paths, ranks the qualified candidates by the selection
-  /// policy, then runs commit() — inline in serial mode, as a barrier op in
-  /// sharded mode (where the ranking read window-frozen state).
+  /// The deputy's optimal-composition step (paper Sec. 3.3 step 3), then
+  /// commit(). Serial min-φ selection over one or two paths takes the
+  /// bounded join's winner, a one-entry ranking. SP, sharded mode and
+  /// graphs of more than two paths merge the returned paths and rank every
+  /// qualified candidate by the selection policy; sharded, commit() runs as
+  /// a barrier op, since the ranking read window-frozen state.
   void finalize(const std::shared_ptr<Coordinator>& coord);
 
   /// Re-evaluates `ranked` ((φ, index into `graphs`) in preference order)
@@ -175,8 +178,8 @@ class ProbingProtocol : public ProbingExecutor {
   /// the request's transients otherwise, and records the outcome. Serially
   /// nothing changes between ranking and commit, so the head wins.
   CompositionOutcome commit(const Coordinator& coord,
-                            const std::vector<stream::ComponentGraph>& graphs,
-                            const std::vector<std::pair<double, std::size_t>>& ranked,
+                            std::span<const stream::ComponentGraph> graphs,
+                            std::span<const std::pair<double, std::size_t>> ranked,
                             CompositionOutcome out, bool cap_hit);
 
   // ---- Serial/sharded dispatch helpers ------------------------------------
@@ -298,6 +301,7 @@ class ProbingProtocol : public ProbingExecutor {
   /// which in sharded mode runs in the apply phase while this instance's
   /// lane is idle.
   stream::CompositionEvaluator evaluator_;
+  BestPhiJoin join_;  ///< finalize()'s min-φ pick, buffers reused
 };
 
 }  // namespace acp::core

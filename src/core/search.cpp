@@ -1,7 +1,7 @@
 #include "core/search.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 
 namespace acp::core {
 
@@ -9,6 +9,7 @@ namespace {
 
 using stream::ComponentGraph;
 using stream::ComponentId;
+using stream::FnEdgeIndex;
 using stream::FnNodeIndex;
 using stream::FunctionGraph;
 using stream::QoSVector;
@@ -169,36 +170,269 @@ std::optional<ComponentGraph> min_phi(stream::CompositionEvaluator& eval,
   return std::move(graphs[std::min_element(scored.begin(), scored.end())->second]);
 }
 
-/// Independent (no cross-component aggregation) congestion estimate of a
-/// path assignment — a provable LOWER bound on the assignment's contribution
-/// to φ, because co-location/link sharing only shrinks residuals and thus
-/// only increases true terms. `skip` marks path positions to exclude (used
-/// to avoid double-counting shared nodes across branch paths).
-double independent_phi_bound(const StreamSystem& sys, const workload::Request& req,
-                             const std::vector<FnNodeIndex>& path, const PathAssignment& pa,
-                             const stream::StateView& view, double now,
-                             const std::vector<bool>& skip) {
-  double est = 0.0;
-  const FunctionGraph& fg = req.graph;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    if (skip[i]) continue;
-    const auto& required = fg.node(path[i]).required;
-    const stream::ResourceVector avail =
-        view.node_available(sys.component(pa.components[i]).node, now);
-    est += stream::congestion_terms(required, avail - required);
-  }
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const stream::NodeId a = sys.component(pa.components[i]).node;
-    const stream::NodeId b = sys.component(pa.components[i + 1]).node;
-    if (a == b) continue;
-    const double bw = fg.edge(fg.find_edge(path[i], path[i + 1])).required_bandwidth_kbps;
-    const double avail = view.virtual_link_available_kbps(sys.mesh(), a, b, now);
-    est += stream::congestion_term(bw, avail - bw);
-  }
-  return est;
-}
+/// The join stops once the next bound exceeds the best φ by this relative
+/// margin. A bound sums the same per-term lower bounds as φ's terms in
+/// another order, which costs a few ulps, not 1e-9.
+constexpr double kBoundSlack = 1e-9;
 
 }  // namespace
+
+bool BestPhiJoin::plan(const FunctionGraph& fg, const stream::FnPaths& paths) {
+  util::SmallVec<std::uint8_t, 16> covered;
+  covered.resize(fg.node_count());
+  for (std::size_t p = 0; p < 2; ++p) {
+    shared_[p].clear();
+    own_nodes_[p].clear();
+    own_edges_[p].clear();
+  }
+  // Path 0 counts all its terms; path 1 only the nodes and edges path 0
+  // lacks, so a term shared by both paths enters one bound.
+  util::SmallVec<FnEdgeIndex, 16> edges0;
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const auto& path = paths[p];
+    for (std::uint32_t pos = 0; pos < path.size(); ++pos) {
+      const auto on_0 = p == 0 ? paths[0].end()
+                               : std::find(paths[0].begin(), paths[0].end(), path[pos]);
+      if (p == 1 && on_0 != paths[0].end()) {
+        shared_[0].push_back(static_cast<std::uint32_t>(on_0 - paths[0].begin()));
+        shared_[1].push_back(pos);
+      } else {
+        own_nodes_[p].push_back({pos, path[pos]});
+      }
+      covered[path[pos]] = 1;
+      if (pos + 1 == path.size()) continue;
+      const FnEdgeIndex e = fg.find_edge(path[pos], path[pos + 1]);
+      if (p == 0) edges0.push_back(e);
+      if (p == 1 && std::find(edges0.begin(), edges0.end(), e) != edges0.end()) continue;
+      own_edges_[p].push_back({pos, e});
+    }
+  }
+  return std::find(covered.begin(), covered.end(), 0) == covered.end();
+}
+
+double BestPhiJoin::bound(stream::CompositionEvaluator& eval, const FunctionGraph& fg,
+                          std::size_t p, const PathAssignment& pa) const {
+  const StreamSystem& sys = eval.system();
+  const auto host = [&](std::uint32_t pos) { return sys.component(pa.components[pos]).node; };
+  double b = 0.0;
+  for (const Term& n : own_nodes_[p]) {
+    b += eval.node_term_bound(fg.node(n.index).required, host(n.pos));
+  }
+  for (const Term& e : own_edges_[p]) {
+    b += eval.edge_term_bound(fg.edge(e.index).required_bandwidth_kbps, host(e.pos),
+                              host(e.pos + 1));
+  }
+  return b;
+}
+
+int BestPhiJoin::compare_key(const PathAssignment& x, std::size_t px, const PathAssignment& y,
+                             std::size_t py) const {
+  for (std::size_t k = 0; k < shared_[0].size(); ++k) {
+    const ComponentId cx = x.components[shared_[px][k]];
+    const ComponentId cy = y.components[shared_[py][k]];
+    if (cx != cy) return cx < cy ? -1 : 1;
+  }
+  return 0;
+}
+
+void BestPhiJoin::add_lane(std::uint32_t row_begin, std::uint32_t row_end,
+                           const Bucket& bucket, std::size_t limit) {
+  const auto col_begin = static_cast<std::uint32_t>(lane_cols_.size());
+  for (std::uint32_t i = bucket.begin; i < bucket.end && cols_[i].order < limit; ++i) {
+    if (cols_[i].bound != std::numeric_limits<double>::infinity()) lane_cols_.push_back(cols_[i]);
+  }
+  const auto col_end = static_cast<std::uint32_t>(lane_cols_.size());
+  if (row_begin == row_end || col_begin == col_end) return;
+  std::sort(lane_cols_.begin() + col_begin, lane_cols_.end(), [](const Entry& x, const Entry& y) {
+    return x.bound != y.bound ? x.bound < y.bound : x.order < y.order;
+  });
+  lanes_.push_back({row_begin, row_end, col_begin, col_end});
+  push(static_cast<std::uint32_t>(lanes_.size() - 1), 0, 0);
+}
+
+bool BestPhiJoin::later(const Next& x, const Next& y) {
+  return x.bound != y.bound ? x.bound > y.bound : x.index > y.index;
+}
+
+void BestPhiJoin::push(std::uint32_t lane, std::uint32_t row, std::uint32_t col) {
+  const Lane& l = lanes_[lane];
+  const Entry& r = rows_[l.row_begin + row];
+  const Entry& c = lane_cols_[l.col_begin + col];
+  frontier_.push_back({r.bound + c.bound, r.order + c.order, lane, row, col});
+  std::push_heap(frontier_.begin(), frontier_.end(), later);
+}
+
+JoinBest BestPhiJoin::run(stream::CompositionEvaluator& eval, const workload::Request& req,
+                          const stream::FnPaths& paths,
+                          const std::vector<std::vector<PathAssignment>>& per_path,
+                          std::size_t cap, const stream::StateView& view, double now,
+                          Checks checks) {
+  ACP_REQUIRE(paths.size() == per_path.size());
+  ACP_REQUIRE_MSG(paths.size() <= 2, "the join pairs at most two paths");
+  ACP_REQUIRE(cap >= 1);
+  JoinBest out;
+  if (paths.empty()) return out;
+  const FunctionGraph& fg = req.graph;
+  const bool two = paths.size() == 2;
+  const bool covers = plan(fg, paths);
+  const auto batch = eval.batch(view, now);
+
+  // Path 1's complete assignments, bucketed by their components at the
+  // shared nodes; a bucket keeps path order, which is the merge order of one
+  // path-0 assignment's partners. One path: one bucket of one empty column.
+  cols_.clear();
+  buckets_.clear();
+  if (two) {
+    for (const PathAssignment& pa : per_path[1]) {
+      if (pa.components.size() == paths[1].size()) cols_.push_back({&pa, 0.0, cols_.size(), 0});
+    }
+    std::sort(cols_.begin(), cols_.end(), [&](const Entry& x, const Entry& y) {
+      const int c = compare_key(*x.pa, 1, *y.pa, 1);
+      return c != 0 ? c < 0 : x.order < y.order;
+    });
+    for (std::uint32_t i = 0; i < cols_.size(); ++i) {
+      if (i == 0 || compare_key(*cols_[i - 1].pa, 1, *cols_[i].pa, 1) != 0) {
+        buckets_.push_back({i, i, false});
+      }
+      Bucket& b = buckets_.back();
+      b.end = i + 1;
+      cols_[i].order = i - b.begin;
+    }
+  } else {
+    cols_.push_back({});
+    buckets_.push_back({0, 1, true});
+  }
+
+  // Path 0's complete assignments in merge order, as merge_path_assignments
+  // caps them: the first `cap` of them, partnered with their buckets until
+  // `cap` candidates are merged. Only the last partnered row can be cut
+  // short of its bucket.
+  rows_.clear();
+  std::optional<Entry> cut;
+  std::size_t cut_limit = 0;
+  std::size_t complete = 0;
+  std::size_t merged = 0;
+  for (const PathAssignment& pa : per_path[0]) {
+    if (pa.components.size() != paths[0].size()) continue;
+    auto bucket = buckets_.begin();
+    if (two) {
+      bucket = std::lower_bound(buckets_.begin(), buckets_.end(), pa,
+                                [&](const Bucket& b, const PathAssignment& x) {
+                                  return compare_key(*cols_[b.begin].pa, 1, x, 0) < 0;
+                                });
+      if (bucket != buckets_.end() && compare_key(*cols_[bucket->begin].pa, 1, pa, 0) != 0) {
+        bucket = buckets_.end();
+      }
+    }
+    if (bucket != buckets_.end()) {
+      const std::size_t size = bucket->end - bucket->begin;
+      const std::size_t take = std::min(size, cap - merged);
+      const Entry row{&pa, 0.0, merged, static_cast<std::uint32_t>(bucket - buckets_.begin())};
+      if (take == size) {
+        rows_.push_back(row);
+      } else {
+        cut = row;
+        cut_limit = take;
+      }
+      merged += take;
+    }
+    if (merged == cap || ++complete == cap) {
+      out.cap_hit = true;
+      break;
+    }
+  }
+  if (!covers) return out;  // no merged candidate assigns every fn node
+  out.merged = merged;
+
+  // Bounds: each row's share of φ, and each partnered bucket's columns'.
+  const auto bound_bucket = [&](Bucket& b) {
+    if (b.bounded) return;
+    b.bounded = true;
+    for (std::uint32_t i = b.begin; i < b.end; ++i) {
+      cols_[i].bound = bound(eval, fg, 1, *cols_[i].pa);
+    }
+  };
+  for (Entry& row : rows_) {
+    row.bound = bound(eval, fg, 0, *row.pa);
+    bound_bucket(buckets_[row.bucket]);
+  }
+  if (cut) {
+    cut->bound = bound(eval, fg, 0, *cut->pa);
+    bound_bucket(buckets_[cut->bucket]);
+  }
+
+  // Lanes: each bucket's full rows against all its columns, then the cut
+  // row against its bucket's first cut_limit columns. Rows and columns of
+  // infinite bound never qualify and are left out.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::sort(rows_.begin(), rows_.end(), [](const Entry& x, const Entry& y) {
+    if (x.bucket != y.bucket) return x.bucket < y.bucket;
+    return x.bound != y.bound ? x.bound < y.bound : x.order < y.order;
+  });
+  lanes_.clear();
+  lane_cols_.clear();
+  frontier_.clear();
+  const auto full_rows = static_cast<std::uint32_t>(rows_.size());
+  for (std::uint32_t i = 0; i < full_rows;) {
+    std::uint32_t finite = i;
+    std::uint32_t j = i;
+    for (; j < full_rows && rows_[j].bucket == rows_[i].bucket; ++j) {
+      if (rows_[j].bound != kInf) finite = j + 1;
+    }
+    const Bucket& b = buckets_[rows_[i].bucket];
+    add_lane(i, finite, b, b.end - b.begin);
+    i = j;
+  }
+  if (cut && cut->bound != kInf) {
+    rows_.push_back(*cut);
+    add_lane(full_rows, full_rows + 1, buckets_[cut->bucket], cut_limit);
+  }
+
+  // Best first: every candidate not yet evaluated has a bound at least the
+  // frontier's least, so once that exceeds the best φ (past the slack) none
+  // can tie or beat it.
+  stream::ComponentGraph candidate(fg);
+  const PathAssignment* best[2] = {nullptr, nullptr};
+  const auto fill = [&](const PathAssignment* const (&pas)[2]) {
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      for (std::size_t i = 0; i < paths[p].size(); ++i) {
+        candidate.assign(paths[p][i], pas[p]->components[i]);
+      }
+    }
+  };
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), later);
+    const Next next = frontier_.back();
+    frontier_.pop_back();
+    if (best[0] != nullptr && next.bound > out.phi * (1.0 + kBoundSlack)) break;
+    const Lane& lane = lanes_[next.lane];
+    if (lane.col_begin + next.col + 1 < lane.col_end) push(next.lane, next.row, next.col + 1);
+    if (next.col == 0 && lane.row_begin + next.row + 1 < lane.row_end) {
+      push(next.lane, next.row + 1, 0);
+    }
+
+    const PathAssignment* const pas[2] = {rows_[lane.row_begin + next.row].pa,
+                                          lane_cols_[lane.col_begin + next.col].pa};
+    fill(pas);
+    ++out.evaluated;
+    const auto phi = checks == Checks::kFull
+                         ? eval.evaluate(candidate, paths, req.qos_req, req.policy, view, now)
+                         : eval.phi(fg, candidate.assignment(), view, now);
+    if (!phi) continue;
+    ++out.qualified;
+    if (best[0] == nullptr || *phi < out.phi || (*phi == out.phi && next.index < out.index)) {
+      out.phi = *phi;
+      out.index = next.index;
+      best[0] = pas[0];
+      best[1] = pas[1];
+    }
+  }
+  if (best[0] != nullptr) {
+    fill(best);
+    out.graph = std::move(candidate);
+  }
+  return out;
+}
 
 std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
                                               const workload::Request& req,
@@ -215,151 +449,21 @@ std::optional<ComponentGraph> exhaustive_best(const StreamSystem& sys,
   }
 
   stream::CompositionEvaluator eval(sys);
-  // Generalized pairwise join for the paper's two-branch DAGs; >2 paths fall
-  // back to full merge and the shared min-φ selection (the template
-  // generator never produces them).
+  // >2 paths fall back to the full merge and the shared min-φ selection
+  // (the template generator never produces them).
   if (paths.size() > 2) {
     auto graphs = merge_path_assignments(req.graph, paths, per_path, combo_cap, nullptr);
     return min_phi(eval, req, paths, graphs, view, now, stats);
   }
-
   // The walk already enforced Eq. 2, interfaces, policy and Eq. 3 per path,
-  // so each full assignment needs only Eqs. 4–5 and φ, all in one batch.
-  const auto batch = eval.batch(view, now);
-  std::optional<std::vector<ComponentId>> best_assignment;
-  double best_phi = std::numeric_limits<double>::infinity();
-  std::size_t evals = 0;
-
-  auto consider = [&](const std::vector<ComponentId>& assignment, double lower_bound) -> bool {
-    // Returns false when the caller may stop (bound proves no improvement).
-    if (lower_bound >= best_phi) return false;
-    ++evals;
-    if (stats) ++stats->examined;
-    const auto phi = eval.phi(req.graph, assignment, view, now);
-    if (phi) {
-      if (stats) ++stats->qualified;
-      if (*phi < best_phi) {
-        best_phi = *phi;
-        best_assignment = assignment;
-      }
-    }
-    return true;
-  };
-
-  const std::vector<bool> no_skip_0(paths[0].size(), false);
-
-  if (paths.size() == 1) {
-    // Single path: evaluate in ascending lower-bound order; the bound makes
-    // early termination exact.
-    struct Entry {
-      double bound;
-      const PathAssignment* pa;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(per_path[0].size());
-    for (const auto& pa : per_path[0]) {
-      entries.push_back({independent_phi_bound(sys, req, paths[0], pa, view, now, no_skip_0),
-                         &pa});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.bound < b.bound; });
-    std::vector<ComponentId> assignment(req.graph.node_count());
-    for (const auto& e : entries) {
-      if (evals >= combo_cap) break;
-      for (std::size_t i = 0; i < paths[0].size(); ++i) {
-        assignment[paths[0][i]] = e.pa->components[i];
-      }
-      if (!consider(assignment, e.bound)) break;
-    }
-  } else {
-    // Two paths (DAG): bucket path assignments by their values on shared
-    // function nodes, then best-first join within compatible buckets.
-
-    // Shared fn nodes between the two paths.
-    std::vector<bool> shared1(paths[1].size(), false);
-    std::vector<FnNodeIndex> shared_nodes;
-    for (std::size_t j = 0; j < paths[1].size(); ++j) {
-      for (FnNodeIndex n0 : paths[0]) {
-        if (paths[1][j] == n0) {
-          shared1[j] = true;
-          shared_nodes.push_back(paths[1][j]);
-          break;
-        }
-      }
-    }
-
-    struct Scored {
-      double bound;
-      const PathAssignment* pa;
-    };
-    // Bucket key: components at shared nodes, in shared_nodes order.
-    using Key = std::vector<ComponentId>;
-    auto key_of = [&](const std::vector<FnNodeIndex>& path, const PathAssignment& pa) {
-      Key key;
-      key.reserve(shared_nodes.size());
-      for (FnNodeIndex sn : shared_nodes) {
-        for (std::size_t i = 0; i < path.size(); ++i) {
-          if (path[i] == sn) {
-            key.push_back(pa.components[i]);
-            break;
-          }
-        }
-      }
-      return key;
-    };
-
-    std::map<Key, std::pair<std::vector<Scored>, std::vector<Scored>>> buckets;
-    for (const auto& pa : per_path[0]) {
-      buckets[key_of(paths[0], pa)].first.push_back(
-          {independent_phi_bound(sys, req, paths[0], pa, view, now, no_skip_0), &pa});
-    }
-    for (const auto& pa : per_path[1]) {
-      // Skip shared nodes in path 1's bound: path 0 already counts them.
-      const auto key = key_of(paths[1], pa);
-      const auto it = buckets.find(key);
-      if (it == buckets.end()) continue;  // no compatible partner
-      it->second.second.push_back(
-          {independent_phi_bound(sys, req, paths[1], pa, view, now, shared1), &pa});
-    }
-
-    std::vector<ComponentId> assignment(req.graph.node_count());
-    bool stop_all = false;
-    for (auto& [key, pair] : buckets) {
-      (void)key;
-      auto& [as, bs] = pair;
-      if (as.empty() || bs.empty()) continue;
-      auto by_bound = [](const Scored& x, const Scored& y) { return x.bound < y.bound; };
-      std::sort(as.begin(), as.end(), by_bound);
-      std::sort(bs.begin(), bs.end(), by_bound);
-      // Row-sweep with bound cutoffs: rows and columns are sorted, so once
-      // a row's first column fails the bound the remaining rows fail too.
-      for (const auto& a : as) {
-        if (a.bound + bs[0].bound >= best_phi) break;
-        for (const auto& b : bs) {
-          if (evals >= combo_cap) {
-            stop_all = true;
-            break;
-          }
-          const double bound = a.bound + b.bound;
-          if (bound >= best_phi) break;
-          for (std::size_t i = 0; i < paths[0].size(); ++i) {
-            assignment[paths[0][i]] = a.pa->components[i];
-          }
-          for (std::size_t i = 0; i < paths[1].size(); ++i) {
-            assignment[paths[1][i]] = b.pa->components[i];
-          }
-          consider(assignment, bound);
-        }
-        if (stop_all) break;
-      }
-      if (stop_all) break;
-    }
+  // so each merged assignment needs only Eqs. 4–5 and φ.
+  JoinBest best = BestPhiJoin().run(eval, req, paths, per_path, combo_cap, view, now,
+                                    BestPhiJoin::Checks::kWalked);
+  if (stats) {
+    stats->examined += best.evaluated;
+    stats->qualified += best.qualified;
   }
-
-  if (!best_assignment) return std::nullopt;
-  ComponentGraph g(req.graph);
-  for (FnNodeIndex i = 0; i < req.graph.node_count(); ++i) g.assign(i, (*best_assignment)[i]);
-  return g;
+  return std::move(best.graph);
 }
 
 std::uint64_t exhaustive_probe_count(const StreamSystem& sys, const workload::Request& req) {
@@ -413,9 +517,17 @@ std::optional<ComponentGraph> guided_search(const StreamSystem& sys, const workl
   for (const auto& path : paths) {
     per_path.push_back(walk_path(sys, req, path, decision_view, now, cfg));
   }
-  auto graphs = merge_path_assignments(req.graph, paths, per_path, beam_cap, nullptr);
   stream::CompositionEvaluator eval(sys);
-  return min_phi(eval, req, paths, graphs, eval_view, now, stats);
+  if (paths.size() > 2) {
+    auto graphs = merge_path_assignments(req.graph, paths, per_path, beam_cap, nullptr);
+    return min_phi(eval, req, paths, graphs, eval_view, now, stats);
+  }
+  JoinBest best = BestPhiJoin().run(eval, req, paths, per_path, beam_cap, eval_view, now);
+  if (stats) {
+    stats->examined += best.evaluated;
+    stats->qualified += best.qualified;
+  }
+  return std::move(best.graph);
 }
 
 }  // namespace acp::core

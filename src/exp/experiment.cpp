@@ -364,15 +364,16 @@ ExperimentResult run_experiment(const Fabric& fabric, const SystemConfig& system
   schedule_sample();
 
   // --- Timeline telemetry ----------------------------------------------------
-  // Sampler ticks are engine events, so the deterministic sample rows (and
-  // the event/queue counters they read) are identical for any --jobs value.
+  // Sampler ticks are engine observers: ordered among the events, so the
+  // deterministic sample rows are identical for any --jobs value, but
+  // counted as none, so attaching the sampler changes no sim number.
   std::unique_ptr<obs::TimelineSampler> timeline_sampler;
   if (obs != nullptr && obs->timeline.enabled() && config.timeline.enabled()) {
     obs->timeline.begin_run(algorithm_name(config.algorithm));
     timeline_sampler = std::make_unique<obs::TimelineSampler>(
         obs->timeline, config.timeline,
         [&engine](double delay_s, std::function<void()> fn) {
-          engine.schedule_after(delay_s, std::move(fn), obs::attr_wait::kTimelineSample);
+          engine.observe_after(delay_s, std::move(fn), obs::attr_wait::kTimelineSample);
         },
         [&] {
           obs::TimelineSample s;

@@ -24,23 +24,40 @@ EventId Engine::schedule_at(SimTime at, Callback cb, const char* tag) {
   return id;
 }
 
-bool Engine::cancel(EventId id) { return queue_.cancel(id); }
+EventId Engine::observe_at(SimTime at, Callback cb, const char* tag) {
+  ACP_REQUIRE_MSG(at >= now_, "cannot schedule events in the past");
+  ACP_REQUIRE(cb != nullptr);
+  const EventId id = next_id_++ | kObserverBit;
+  queue_.push(at, next_seq_++, id, Pending{std::move(cb), now_, tag});
+  ++observers_;
+  return id;
+}
 
-void Engine::fire(CalendarQueue<Pending>::Entry& ev) {
+bool Engine::cancel(EventId id) {
+  if (!queue_.cancel(id)) return false;
+  if ((id & kObserverBit) != 0) --observers_;
+  return true;
+}
+
+bool Engine::fire(CalendarQueue<Pending>::Entry& ev) {
   now_ = ev.at;
   Callback cb = std::move(ev.payload.cb);
-  ++fired_;
   if (attribution_ != nullptr && attribution_->enabled()) {
     attribution_->record_wait(ev.payload.tag, ev.at - ev.payload.enqueued_at);
   }
+  if ((ev.id & kObserverBit) != 0) {
+    --observers_;
+    cb();
+    return false;
+  }
+  ++fired_;
   if (events_metric_ != nullptr) {
     events_metric_->add(1);
-    depth_metric_->set(static_cast<double>(queue_.size()));
+    depth_metric_->set(static_cast<double>(pending()));
   }
-  {
-    obs::ProfScope prof(dispatch_slot_);
-    cb();
-  }
+  obs::ProfScope prof(dispatch_slot_);
+  cb();
+  return true;
 }
 
 bool Engine::step() {
@@ -55,17 +72,17 @@ std::uint64_t Engine::run_until(SimTime until) {
   std::uint64_t n = 0;
   CalendarQueue<Pending>::Entry ev;
   while (queue_.pop_if_le(until, ev)) {
-    fire(ev);
-    ++n;
+    if (fire(ev)) ++n;
   }
   now_ = until;
   return n;
 }
 
 std::uint64_t Engine::run() {
-  std::uint64_t n = 0;
-  while (step()) ++n;
-  return n;
+  const std::uint64_t before = fired_;
+  while (step()) {
+  }
+  return fired_ - before;
 }
 
 }  // namespace acp::sim

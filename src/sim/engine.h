@@ -3,6 +3,8 @@
 // The whole reproduction is driven by this engine: request arrivals, probe
 // hops (delayed by overlay-link latency), transient-reservation timeouts,
 // state-update ticks, session teardowns, and sampling ticks are all events.
+// Observability samplers run as observers: ordered like events, counted as
+// none.
 //
 // Determinism: events at equal timestamps fire in scheduling order (a
 // monotonic sequence number breaks ties), so a fixed RNG seed reproduces a
@@ -54,6 +56,16 @@ class Engine {
     return schedule_at(now_ + delay, std::move(cb), tag);
   }
 
+  /// Schedules an observer: `cb` fires at `at` in (time, seq) order among
+  /// the events, but it is not a simulation event. events_fired(),
+  /// acp.sim.events_executed, pending(), acp.sim.queue_depth and the
+  /// sim.dispatch scope leave it out, so attaching an observer (the
+  /// timeline sampler) changes no sim number. It can be cancelled.
+  EventId observe_at(SimTime at, Callback cb, const char* tag = nullptr);
+  EventId observe_after(SimTime delay, Callback cb, const char* tag = nullptr) {
+    return observe_at(now_ + delay, std::move(cb), tag);
+  }
+
   /// Cancels a pending event; returns false if it already fired, was
   /// cancelled before, or never existed. O(1), and reclaims the entry —
   /// including its callback closure — eagerly rather than at fire time, so
@@ -61,17 +73,19 @@ class Engine {
   bool cancel(EventId id);
 
   /// Runs events with timestamp <= `until` (inclusive), then advances the
-  /// clock to `until`. Returns the number of events run.
+  /// clock to `until`. Returns the number of events run (observers not
+  /// counted).
   std::uint64_t run_until(SimTime until);
 
-  /// Runs all remaining events. Returns the number of events run.
+  /// Runs all remaining events. Returns the number of events run
+  /// (observers not counted).
   std::uint64_t run();
 
   /// Fires exactly one event if any is pending; returns false if idle.
   bool step();
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t pending() const { return queue_.size(); }
+  /// Number of pending (non-cancelled) events, observers excluded.
+  std::size_t pending() const { return queue_.size() - observers_; }
 
   /// Timestamp of the earliest pending event; false when idle. Pure peek —
   /// the sharded engine's window loop uses it to skip empty windows.
@@ -80,6 +94,7 @@ class Engine {
     return queue_.peek_min(at, seq);
   }
 
+  /// Simulation events fired so far, observers excluded.
   std::uint64_t events_fired() const { return fired_; }
 
   /// Mirrors engine activity into `registry` (nullptr detaches): counter
@@ -103,13 +118,18 @@ class Engine {
     const char* tag = nullptr;  ///< string literal; nullptr = untagged
   };
 
-  /// Advances the clock to the popped event and dispatches its callback.
-  void fire(CalendarQueue<Pending>::Entry& ev);
+  /// Advances the clock to the popped event and dispatches its callback;
+  /// false when it was an observer.
+  bool fire(CalendarQueue<Pending>::Entry& ev);
+
+  /// Marks an observer's EventId, so cancel() can account for it.
+  static constexpr EventId kObserverBit = EventId{1} << 63;
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
+  std::size_t observers_ = 0;  ///< pending observers
   CalendarQueue<Pending> queue_;
   obs::Attribution* attribution_ = nullptr;
 

@@ -183,6 +183,14 @@ CompositionEvaluator::Walk CompositionEvaluator::walk(NodeId a, NodeId b) {
   return walks_.back();
 }
 
+double CompositionEvaluator::link_available(BatchLink& bl) {
+  if (!bl.read) {
+    bl.avail = view_->link_available_kbps(bl.link, now_);
+    bl.read = true;
+  }
+  return bl.avail;
+}
+
 const ResourceVector& CompositionEvaluator::node_available(NodeId node) {
   const auto n = node_index_.find_or_insert(node, static_cast<std::uint32_t>(node_avail_.size()));
   if (n.inserted) node_avail_.push_back(view_->node_available(node, now_));
@@ -218,6 +226,25 @@ std::optional<double> CompositionEvaluator::phi(const FunctionGraph& fg,
   }
   require_bound(view, now);
   return phi_in_batch(fg, assignment);
+}
+
+double CompositionEvaluator::node_term_bound(const ResourceVector& required, NodeId host) {
+  ACP_REQUIRE_MSG(view_ != nullptr, "term bounds read through an open batch");
+  const ResourceVector& avail = node_available(host);
+  if (!required.fits_within(avail)) return std::numeric_limits<double>::infinity();
+  return congestion_terms(required, avail - required);
+}
+
+double CompositionEvaluator::edge_term_bound(double kbps, NodeId a, NodeId b) {
+  ACP_REQUIRE_MSG(view_ != nullptr, "term bounds read through an open batch");
+  if (a == b) return 0.0;
+  const Walk w = walk(a, b);
+  double avail = std::numeric_limits<double>::infinity();
+  for (std::uint32_t pos = w.begin; pos < w.end; ++pos) {
+    avail = std::min(avail, link_available(batch_links_[walk_links_[pos]]));
+  }
+  if (kbps > avail) return std::numeric_limits<double>::infinity();
+  return congestion_term(kbps, avail - kbps);
 }
 
 void CompositionEvaluator::aggregate(const FunctionGraph& fg,
@@ -289,12 +316,9 @@ std::optional<double> CompositionEvaluator::phi_in_batch(
   }
   for (const std::uint32_t id : link_ids_) {
     BatchLink& bl = batch_links_[id];
-    if (!bl.read) {
-      bl.avail = view_->link_available_kbps(bl.link, now_);
-      bl.read = true;
-    }
-    if (bl.kbps > bl.avail) return std::nullopt;
-    bl.residual = bl.avail - bl.kbps;
+    const double avail = link_available(bl);
+    if (bl.kbps > avail) return std::nullopt;
+    bl.residual = avail - bl.kbps;
   }
 
   // Node terms: Σ_k r_k / (rr_k + r_k) per component, with the residual

@@ -144,6 +144,8 @@ class CompositionEvaluator {
 
   explicit CompositionEvaluator(const StreamSystem& sys) : sys_(&sys) {}
 
+  const StreamSystem& system() const { return *sys_; }
+
   /// Opens a batch bound to (view, now): until it closes, every phi() and
   /// evaluate() must pass this view and this time (ACP_REQUIRE). At most
   /// one batch is open per evaluator.
@@ -162,6 +164,17 @@ class CompositionEvaluator {
   /// the capacity.
   std::optional<double> phi(const FunctionGraph& fg, const std::vector<ComponentId>& assignment,
                             const StateView& view, double now);
+
+  /// Lower bounds on single terms of φ(λ), read through the open batch (a
+  /// batch must be open): the term a fn node demanding `required` adds on
+  /// `host`, and the term an edge of `kbps` adds between hosts `a` and `b`,
+  /// each as if the composition put nothing else there. A composition's
+  /// demand on a node or link includes each such share, so each bound is ≤
+  /// the term φ sums for it, bit for bit (every step is monotone in the
+  /// residual). +∞ when that share alone does not fit: no composition
+  /// using it passes Eqs. 4–5. 0 for a co-located edge.
+  double node_term_bound(const ResourceVector& required, NodeId host);
+  double edge_term_bound(double kbps, NodeId a, NodeId b);
 
   /// Aggregates the assignment's demand without reading any state:
   /// node_demand() lists each host once, link_demand() each overlay link
@@ -230,6 +243,8 @@ class CompositionEvaluator {
   void accumulate(const FunctionGraph& fg, const std::vector<ComponentId>& assignment);
   Walk walk(NodeId a, NodeId b);
   const ResourceVector& node_available(NodeId node);
+  /// `bl`'s availability, read from the view on its first use in the batch.
+  double link_available(BatchLink& bl);
   std::optional<double> phi_in_batch(const FunctionGraph& fg,
                                      const std::vector<ComponentId>& assignment);
 

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <limits>
 
-#include "util/small_vec.h"
 
 namespace acp::stream {
 
@@ -139,28 +138,42 @@ bool StreamSystem::reserve_node_transient(RequestId request, std::uint32_t tag, 
   return true;
 }
 
-bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32_t tag, NodeId a,
-                                                  NodeId b, double kbps, double now,
-                                                  double expires_at) {
-  if (a == b) return true;  // co-located: no bandwidth consumed
+template <typename Admit, typename Undo>
+bool StreamSystem::admit_virtual_link(NodeId a, NodeId b, Admit&& admit, Undo&& undo) {
+  std::size_t done = 0;
   bool ok = true;
-  util::SmallVec<net::OverlayLinkIndex, 16> done;
   mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-    if (!ok) return;
-    if (link_pools_[l].reserve_transient(request, tag, kbps, now, expires_at)) {
-      done.push_back(l);
+    if (ok && admit(l)) {
+      ++done;
     } else {
       ok = false;
     }
   });
-  if (ok) {
-    request_footprints_[request].push_back({a, b});
-    return true;
-  }
-  // Roll back partial reservations on already-done links, cancelling just
-  // this tag (cancel_request would drop the request's other tags too).
-  for (const net::OverlayLinkIndex l : done) link_pools_[l].cancel_request_tag(request, tag);
+  if (ok) return true;
+  // Walk the virtual link again rather than list the admitted links: a
+  // 64×80-torus virtual link spans ~33 overlay links, past any inline list.
+  mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    if (done == 0) return;
+    undo(l);
+    --done;
+  });
   return false;
+}
+
+bool StreamSystem::reserve_virtual_link_transient(RequestId request, std::uint32_t tag, NodeId a,
+                                                  NodeId b, double kbps, double now,
+                                                  double expires_at) {
+  if (a == b) return true;  // co-located: no bandwidth consumed
+  const bool ok = admit_virtual_link(
+      a, b,
+      [&](net::OverlayLinkIndex l) {
+        return link_pools_[l].reserve_transient(request, tag, kbps, now, expires_at);
+      },
+      // Cancels just this tag (cancel_request would drop the request's
+      // other tags too).
+      [&](net::OverlayLinkIndex l) { link_pools_[l].cancel_request_tag(request, tag); });
+  if (ok) request_footprints_[request].push_back({a, b});
+  return ok;
 }
 
 void StreamSystem::force_reserve_node_transient(RequestId request, std::uint32_t tag, NodeId node,
@@ -230,22 +243,11 @@ bool StreamSystem::commit_node_direct(SessionId session, NodeId node, const Reso
 bool StreamSystem::commit_virtual_link_direct(SessionId session, NodeId a, NodeId b, double kbps,
                                               double now) {
   if (a == b) return true;
-  bool ok = true;
-  util::SmallVec<net::OverlayLinkIndex, 16> done;
-  mesh_->for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
-    if (!ok) return;
-    if (link_pools_[l].commit_direct(session, kbps, now)) {
-      done.push_back(l);
-    } else {
-      ok = false;
-    }
-  });
-  if (ok) {
-    session_footprints_[session].push_back({a, b});
-    return true;
-  }
-  for (const net::OverlayLinkIndex l : done) link_pools_[l].release_session_one(session, kbps);
-  return false;
+  const bool ok = admit_virtual_link(
+      a, b, [&](net::OverlayLinkIndex l) { return link_pools_[l].commit_direct(session, kbps, now); },
+      [&](net::OverlayLinkIndex l) { link_pools_[l].release_session_one(session, kbps); });
+  if (ok) session_footprints_[session].push_back({a, b});
+  return ok;
 }
 
 void StreamSystem::release_session(SessionId session) {

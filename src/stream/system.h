@@ -193,6 +193,11 @@ class StreamSystem {
   /// dedupes `footprint` in place).
   template <typename F>
   void for_each_pool(Footprint& footprint, F&& f);
+  /// Calls `admit(l)` on each overlay link l of the virtual link a→b in walk
+  /// order until one returns false; then calls `undo(l)` on the links
+  /// admitted before it, in the same order. True when every link admitted.
+  template <typename Admit, typename Undo>
+  bool admit_virtual_link(NodeId a, NodeId b, Admit&& admit, Undo&& undo);
   /// Forgets the footprints of requests whose listed pools hold no record
   /// of them any more (after a world-wide sweep).
   void drop_settled_requests();

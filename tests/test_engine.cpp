@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/profile.h"
 #include "sim/calendar_queue.h"
 #include "sim/counters.h"
@@ -130,6 +131,29 @@ TEST(Engine, PendingExcludesCancelled) {
   EXPECT_EQ(e.pending(), 2u);
   e.cancel(a);
   EXPECT_EQ(e.pending(), 1u);
+}
+
+TEST(Engine, ObserversFireInOrderButCountAsNoEvent) {
+  Engine e;
+  obs::MetricsRegistry registry;
+  e.set_metrics(&registry);
+  std::vector<int> order;
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  e.observe_at(1.0, [&] {
+    order.push_back(2);
+    EXPECT_EQ(e.pending(), 1u);  // the event at 3.0; the observer at 2.0 is not counted
+  });
+  e.observe_at(2.0, [&] { order.push_back(3); });
+  e.schedule_at(3.0, [&] { order.push_back(4); });
+  const EventId dropped = e.observe_at(2.5, [&] { order.push_back(-1); });
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_TRUE(e.cancel(dropped));
+  EXPECT_EQ(e.run_until(2.0), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(e.events_fired(), 2u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(registry.find_counter(obs::metric::kSimEventsExecuted)->value(), 2u);
 }
 
 // The two legacy spellings perfbench reads its metrics through.
