@@ -12,6 +12,7 @@
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "exp/system_builder.h"
 #include "net/routing.h"
 #include "net/topology.h"
+#include "sim/engine.h"
 #include "state/global_state.h"
 #include "util/arena.h"
 #include "workload/generator.h"
@@ -466,6 +468,54 @@ void BM_ReleaseSession(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReleaseSession)->Args({16, 20})->Args({64, 80})->Args({200, 256})->UseManualTime();
+
+// ---- Engine hold model -------------------------------------------------------
+//
+// The classic hold model, driven through sim::Engine: keep `pending` events
+// queued; each operation fires the earliest and schedules one more. The mix
+// follows ACP's event population: 85% probe hops 1–41 ms ahead (typed
+// events, as the probe protocol sends them); 10% 10-s deputy timeouts
+// (closures), each of which cancels the oldest of the 16 newest timeouts
+// still queued, as a finalize cancels its deadline, with a hop taking its
+// place; and 5% session ends 300–900 s ahead (closures), which pile up as
+// in a run with many live sessions. An item is one fire plus its schedule.
+
+void count_event(void* fired, std::uint64_t /*arg*/) {
+  ++*static_cast<std::uint64_t*>(fired);
+}
+
+void BM_EventHold(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  sim::Engine engine;
+  util::Rng rng(7);
+  std::uint64_t fired = 0;
+  std::deque<sim::EventId> timeouts;
+  const auto hop = [&] {
+    engine.schedule_after(rng.uniform(0.001, 0.041), sim::Engine::Event{&count_event, &fired, 0});
+  };
+  const auto schedule_one = [&] {
+    const std::size_t roll = rng.below(20);
+    if (roll < 17) {
+      hop();
+    } else if (roll < 19) {
+      timeouts.push_back(engine.schedule_after(10.0, [&fired] { ++fired; }));
+      if (timeouts.size() > 16) {
+        if (engine.cancel(timeouts.front())) hop();
+        timeouts.pop_front();
+      }
+    } else {
+      engine.schedule_after(rng.uniform(300.0, 900.0), [&fired] { ++fired; });
+    }
+  };
+  while (engine.pending() < pending) schedule_one();
+  for (auto _ : state) {
+    engine.step();
+    schedule_one();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventHold)->ArgName("pending")->Arg(1000)->Arg(10000)->Arg(100000);
 
 // Console output as usual, plus per-benchmark timing kept for the report.
 class CaptureReporter : public benchmark::ConsoleReporter {

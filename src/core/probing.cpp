@@ -64,6 +64,11 @@ struct ProbingProtocol::Coordinator {
   std::unique_ptr<ClaimLedger> claims;
 };
 
+struct ProbingProtocol::Parked {
+  std::shared_ptr<Coordinator> coord;
+  Probe probe;
+};
+
 ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable& sessions,
                                  sim::Engine& engine, obs::MetricsRegistry& counters,
                                  discovery::Registry& registry,
@@ -127,6 +132,12 @@ ProbingProtocol::ProbingProtocol(stream::StreamSystem& sys, stream::SessionTable
   died_timeout_ = death(obs::reason::kTimeout);
   died_childless_ = death(obs::reason::kNoChildren);
   died_lost_ = death(obs::reason::kMessageLost);
+}
+
+ProbingProtocol::~ProbingProtocol() = default;
+
+std::size_t ProbingProtocol::parked_probes() const {
+  return slab_.size() - slab_free_.size();
 }
 
 stream::NodeId ProbingProtocol::deputy_for(net::NodeIndex client_ip) const {
@@ -195,6 +206,53 @@ bool ProbingProtocol::admit_link(Coordinator& coord, std::uint32_t tag, NodeId a
     sys->force_reserve_virtual_link_transient(rid, tag, a, b, kbps, now, expires_at);
   });
   return true;
+}
+
+void ProbingProtocol::deliver(const std::shared_ptr<Coordinator>& coord, const Probe& probe,
+                              double delay_s, bool returning) {
+  if (shard_ != nullptr) {
+    if (returning) {
+      sched(
+          coord, delay_s, [this, coord, probe] { probe_returned(coord, probe); },
+          obs::attr_wait::kProbeTransit);
+    } else {
+      sched(
+          coord, delay_s, [this, coord, probe] { process_probe(coord, probe); },
+          obs::attr_wait::kProbeTransit);
+    }
+    return;
+  }
+  std::uint32_t slot = 0;
+  if (slab_free_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(Parked{coord, probe});
+  } else {
+    slot = slab_free_.back();
+    slab_free_.pop_back();
+    slab_[slot].coord = coord;
+    slab_[slot].probe = probe;
+  }
+  sim::Engine::Event ev{&ProbingProtocol::hop_arrived, this, slot};
+  if (returning) ev.handler = &ProbingProtocol::return_arrived;
+  engine_->schedule_after(delay_s, ev, obs::attr_wait::kProbeTransit);
+}
+
+ProbingProtocol::Parked ProbingProtocol::unpark(std::uint64_t slot) {
+  Parked parked = std::move(slab_[slot]);
+  slab_free_.push_back(static_cast<std::uint32_t>(slot));
+  return parked;
+}
+
+void ProbingProtocol::hop_arrived(void* self, std::uint64_t slot) {
+  auto& protocol = *static_cast<ProbingProtocol*>(self);
+  Parked parked = protocol.unpark(slot);
+  protocol.process_probe(parked.coord, std::move(parked.probe));
+}
+
+void ProbingProtocol::return_arrived(void* self, std::uint64_t slot) {
+  auto& protocol = *static_cast<ProbingProtocol*>(self);
+  const Parked parked = protocol.unpark(slot);
+  protocol.probe_returned(parked.coord, parked.probe);
 }
 
 void ProbingProtocol::on_node_change(stream::NodeId node, bool up) {
@@ -267,15 +325,7 @@ void ProbingProtocol::send_probe(const std::shared_ptr<Coordinator>& coord, Prob
     }
     delay_s += fate.extra_delay_s;
   }
-  if (returning) {
-    sched(
-        coord, delay_s, [this, coord, probe] { probe_returned(coord, probe); },
-        obs::attr_wait::kProbeTransit);
-  } else {
-    sched(
-        coord, delay_s, [this, coord, probe] { process_probe(coord, probe); },
-        obs::attr_wait::kProbeTransit);
-  }
+  deliver(coord, probe, delay_s, returning);
 }
 
 void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHopPolicy hop_policy,
@@ -353,9 +403,7 @@ void ProbingProtocol::execute(const workload::Request& req, double alpha, PerHop
           .field("hop", std::uint64_t{0})
           .field("node", static_cast<std::uint64_t>(coord->deputy));
     }
-    sched(
-        coord, config_.hop_processing_s, [this, coord, probe] { process_probe(coord, probe); },
-        obs::attr_wait::kProbeTransit);
+    deliver(coord, probe, config_.hop_processing_s, /*returning=*/false);
   }
 }
 
@@ -587,10 +635,7 @@ void ProbingProtocol::probe_returned(const std::shared_ptr<Coordinator>& coord,
         .field("path", probe.path_index)
         .field("hops", probe.components.size());
   }
-  PathAssignment pa;
-  pa.components.assign(probe.components.begin(), probe.components.end());
-  pa.accumulated = probe.accumulated;
-  coord->collected[probe.path_index].push_back(std::move(pa));
+  coord->collected[probe.path_index].push_back(PathAssignment{probe.components, probe.accumulated});
   probe_ended(coord);
 }
 
@@ -703,9 +748,12 @@ CompositionOutcome ProbingProtocol::commit(
   const workload::Request& req = *coord.req;
   const double now = engine_->now();
   const stream::StreamSystem::RequestScopedView view(*sys_, req.id);
-  for (const auto& candidate : ranked) {
-    const stream::ComponentGraph& g = graphs[candidate.second];
-    const auto phi = evaluator_.evaluate(g, coord.paths, req.qos_req, req.policy, view, now);
+  for (const auto& [ranked_phi, index] : ranked) {
+    const stream::ComponentGraph& g = graphs[index];
+    const std::optional<double> phi =
+        shard_ == nullptr
+            ? ranked_phi
+            : evaluator_.evaluate(g, coord.paths, req.qos_req, req.policy, view, now);
     if (!phi) continue;
     out.found_qualified = true;
     out.phi = *phi;

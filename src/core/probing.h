@@ -119,6 +119,7 @@ class ProbingProtocol : public ProbingExecutor {
                   obs::MetricsRegistry& counters, discovery::Registry& registry,
                   const stream::StateView& global_view, util::Rng rng, ProbingConfig config = {},
                   obs::Observability* obs = nullptr);
+  ~ProbingProtocol() override;
 
   /// Runs the full protocol for `req` with probing ratio `alpha`. `done`
   /// fires exactly once when the deputy finalizes (success or failure).
@@ -158,9 +159,30 @@ class ProbingProtocol : public ProbingExecutor {
   /// it still outstanding (timeout).
   std::uint64_t live_probes() const override { return live_probes_; }
 
+  /// Probe-slab slots in use: serial probe hops and returns scheduled and
+  /// not yet fired. 0 once the engine has run past every one of them,
+  /// late arrivals after a finalize included.
+  std::size_t parked_probes() const;
+
  private:
   struct Coordinator;
   struct Probe;
+  /// A probe slab slot: a serial hop or return in flight, with the
+  /// coordinator it keeps alive until the event fires.
+  struct Parked;
+
+  /// Schedules `probe`'s arrival `delay_s` from now: at probe.at
+  /// (process_probe) or, `returning`, at the deputy (probe_returned).
+  /// Serially it parks the probe in the slab under a typed event; sharded,
+  /// a closure on the request's stream carries it.
+  void deliver(const std::shared_ptr<Coordinator>& coord, const Probe& probe, double delay_s,
+               bool returning);
+  /// The typed events' handlers: `slot` names the parked probe, which they
+  /// take out of the slab (freeing the slot for the children it spawns)
+  /// before processing it.
+  static void hop_arrived(void* self, std::uint64_t slot);
+  static void return_arrived(void* self, std::uint64_t slot);
+  Parked unpark(std::uint64_t slot);
 
   void process_probe(const std::shared_ptr<Coordinator>& coord, Probe probe);
   void probe_returned(const std::shared_ptr<Coordinator>& coord, const Probe& probe);
@@ -173,10 +195,12 @@ class ProbingProtocol : public ProbingExecutor {
   /// a barrier op, since the ranking read window-frozen state.
   void finalize(const std::shared_ptr<Coordinator>& coord);
 
-  /// Re-evaluates `ranked` ((φ, index into `graphs`) in preference order)
-  /// against live state, commits the first that still qualifies, cancels
-  /// the request's transients otherwise, and records the outcome. Serially
-  /// nothing changes between ranking and commit, so the head wins.
+  /// Commits the first of `ranked` ((φ, index into `graphs`) in preference
+  /// order) that qualifies, cancels the request's transients otherwise, and
+  /// records the outcome. Serially nothing runs between the ranking and
+  /// commit, and the ranking's φ came from evaluate() on the same view and
+  /// time, so the head commits with its ranked φ. Sharded, the barrier
+  /// re-evaluates each candidate against live state.
   CompositionOutcome commit(const Coordinator& coord,
                             std::span<const stream::ComponentGraph> graphs,
                             std::span<const std::pair<double, std::size_t>> ranked,
@@ -257,6 +281,10 @@ class ProbingProtocol : public ProbingExecutor {
   /// In-flight coordinators, scanned on node-crash for deputy re-election
   /// (pruned lazily; finalized entries are skipped).
   std::vector<std::weak_ptr<Coordinator>> active_;
+  /// The probe slab: serial hops and returns in flight, by slot; freed
+  /// slots are recycled.
+  std::vector<Parked> slab_;
+  std::vector<std::uint32_t> slab_free_;
 
   // Wall-clock profiling scopes (inert without obs_): the per-hop hot path,
   // its candidate-ranking section, and the deputy's finalize step. Each

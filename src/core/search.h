@@ -20,6 +20,7 @@
 #include "core/candidate_selection.h"
 #include "stream/component_graph.h"
 #include "util/rng.h"
+#include "util/small_vec.h"
 
 namespace acp::core {
 
@@ -32,8 +33,10 @@ struct SearchStats {
 /// protocol's finalization.
 struct PathAssignment {
   /// Component chosen for each node of the path (aligned with the path's
-  /// node-index sequence).
-  std::vector<stream::ComponentId> components;
+  /// node-index sequence). Inline storage covers every template in the
+  /// catalog (at most 5 functions per path), so a returned probe's copy
+  /// never allocates.
+  util::SmallVec<stream::ComponentId, 8> components;
   /// QoS accumulated along the path, as collected during the walk.
   stream::QoSVector accumulated;
 };

@@ -8,18 +8,25 @@
 //
 // Determinism: events at equal timestamps fire in scheduling order (a
 // monotonic sequence number breaks ties), so a fixed RNG seed reproduces a
-// run exactly. The queue is a calendar queue (sim/calendar_queue.h) whose
-// ordering contract is exactly ascending (at, seq) — identical to the
-// binary heap it replaced — with O(1) amortized push/pop and eager O(1)
-// cancellation instead of lazy heap deletion.
+// run exactly. Pending events live in one sim::EventHeap (sim/event_heap.h)
+// ordered exactly by (at, seq).
+//
+// Two kinds of event share that order. A typed event (Event) is a
+// trivially copyable handler plus two words: the probe protocol's hops and
+// returns schedule them with a slot index into its own probe slab, so a hop
+// allocates nothing. A closure (std::function) serves the rare callers —
+// arrivals, session ends, state ticks, faults, migration, the tuner,
+// observers, timeouts and retries; it waits in an engine-owned pool and is
+// moved out of it before it runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "sim/calendar_queue.h"
+#include "sim/event_heap.h"
 #include "util/error.h"
 
 namespace acp::obs {
@@ -37,6 +44,15 @@ using EventId = std::uint64_t;
 class Engine {
  public:
   using Callback = std::function<void()>;
+
+  /// A typed event: `handler(context, arg)` runs when it fires. The
+  /// scheduler owns whatever `context` and `arg` name until then, and a
+  /// cancelled typed event leaves that to the scheduler too.
+  struct Event {
+    void (*handler)(void* context, std::uint64_t arg) = nullptr;
+    void* context = nullptr;
+    std::uint64_t arg = 0;
+  };
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -56,6 +72,13 @@ class Engine {
     return schedule_at(now_ + delay, std::move(cb), tag);
   }
 
+  /// Schedules the typed event `ev` (non-null handler); same order, tags
+  /// and accounting as a closure.
+  EventId schedule_at(SimTime at, Event ev, const char* tag = nullptr);
+  EventId schedule_after(SimTime delay, Event ev, const char* tag = nullptr) {
+    return schedule_at(now_ + delay, ev, tag);
+  }
+
   /// Schedules an observer: `cb` fires at `at` in (time, seq) order among
   /// the events, but it is not a simulation event. events_fired(),
   /// acp.sim.events_executed, pending(), acp.sim.queue_depth and the
@@ -66,10 +89,10 @@ class Engine {
     return observe_at(now_ + delay, std::move(cb), tag);
   }
 
-  /// Cancels a pending event; returns false if it already fired, was
-  /// cancelled before, or never existed. O(1), and reclaims the entry —
-  /// including its callback closure — eagerly rather than at fire time, so
-  /// heavy retry cancellation can't grow queue state unboundedly.
+  /// Cancels a pending event or observer; returns false if it already
+  /// fired, was cancelled before, or never existed (0 included). O(log n),
+  /// and destroys a closure at once rather than at its fire time, so heavy
+  /// retry cancellation can't grow engine state.
   bool cancel(EventId id);
 
   /// Runs events with timestamp <= `until` (inclusive), then advances the
@@ -90,8 +113,8 @@ class Engine {
   /// Timestamp of the earliest pending event; false when idle. Pure peek —
   /// the sharded engine's window loop uses it to skip empty windows.
   bool next_event_at(SimTime& at) const {
-    std::uint64_t seq;
-    return queue_.peek_min(at, seq);
+    std::uint64_t seq = 0;
+    return queue_.peek(at, seq);
   }
 
   /// Simulation events fired so far, observers excluded.
@@ -110,27 +133,35 @@ class Engine {
   void set_attribution(obs::Attribution* attr) { attribution_ = attr; }
 
  private:
-  /// A pending event's callback plus the bookkeeping the attribution layer
-  /// needs: when it entered the queue and under which tag.
+  /// A pending event plus the bookkeeping the attribution layer needs:
+  /// when it entered the queue and under which tag.
   struct Pending {
-    Callback cb;
+    Event event;
     SimTime enqueued_at = 0.0;
     const char* tag = nullptr;  ///< string literal; nullptr = untagged
+    bool observer = false;
   };
+  using Queue = EventHeap<Pending>;
 
-  /// Advances the clock to the popped event and dispatches its callback;
-  /// false when it was an observer.
-  bool fire(CalendarQueue<Pending>::Entry& ev);
+  /// Queues `ev` at `at` (already checked against now_).
+  EventId push(SimTime at, Event ev, const char* tag, bool observer);
+  /// A closure's typed event: `cb` waits in closures_[arg].
+  Event stash(Callback cb);
+  /// Handler of every closure event: moves the closure out of the pool,
+  /// frees its slot, then runs it.
+  static void run_closure(void* engine, std::uint64_t index);
 
-  /// Marks an observer's EventId, so cancel() can account for it.
-  static constexpr EventId kObserverBit = EventId{1} << 63;
+  /// Advances the clock to the popped event and dispatches it; false when
+  /// it was an observer.
+  bool fire(const Queue::Entry& ev);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
   std::size_t observers_ = 0;  ///< pending observers
-  CalendarQueue<Pending> queue_;
+  Queue queue_;
+  std::vector<Callback> closures_;            ///< pending closures, by pool slot
+  std::vector<std::uint32_t> free_closures_;  ///< recycled pool slots
   obs::Attribution* attribution_ = nullptr;
 
   // Cached metric handles (owned by the attached registry); both set or

@@ -52,9 +52,7 @@ std::uint64_t ShardedEngine::schedule_stream(std::uint32_t stream, double at,
   ACP_REQUIRE_MSG(at >= now(), "cannot schedule events in the past");
   Lane& lane = *lanes_[info.shard];
   const std::uint64_t key = pack_order_key(stream, info.next_local_seq++);
-  const std::uint64_t id = lane.next_id++;
-  lane.queue.push(at, key, id, LanePending{std::move(cb), now(), tag});
-  return id;
+  return lane.queue.push(at, key, LanePending{std::move(cb), now(), tag});
 }
 
 bool ShardedEngine::cancel_stream(std::uint32_t stream, std::uint64_t id) {
@@ -121,7 +119,7 @@ void ShardedEngine::drain_lane(Lane& lane, double end) {
   const bool timed = lane_drain_wall_ != nullptr;
   const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
   try {
-    CalendarQueue<LanePending>::Entry ev;
+    EventHeap<LanePending>::Entry ev;
     while (lane.queue.pop_if_le(end, ev)) {
       tl_.now = ev.at;
       tl_.key = ev.seq;
@@ -165,7 +163,7 @@ std::uint64_t ShardedEngine::run_until(double until) {
     if (global_.next_event_at(t)) next = t;
     for (const auto& lane : lanes_) {
       std::uint64_t seq = 0;
-      if (lane->queue.peek_min(t, seq)) next = std::min(next, t);
+      if (lane->queue.peek(t, seq)) next = std::min(next, t);
     }
     if (next > until) break;
     while (window_end_ < next) window_end_ += window_s_;

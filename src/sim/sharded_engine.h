@@ -5,10 +5,11 @@
 // that reads or mutates shared world state (request arrivals, state
 // publishes, faults, migration, repair, session teardown, samplers), and
 // every probe cascade gets a private stream pinned by hashed deputy
-// ownership to one of N shard lanes, each a CalendarQueue. The coordinator
-// (the thread that calls run_until) drains lane 0 itself; lanes 1..N−1 each
-// have a dedicated worker thread, so N lanes cost N − 1 threads and
-// `--shards 1` starts none.
+// ownership to one of N shard lanes, each a sim::EventHeap of closures
+// ordered by (at, order key). The coordinator (the thread that calls
+// run_until) drains lane 0 itself; lanes 1..N−1 each have a dedicated
+// worker thread, so N lanes cost N − 1 threads and `--shards 1` starts
+// none.
 //
 // Synchronization is a fixed time-window barrier, not null messages. Why:
 // on the XL torus the minimum virtual-link delay (the classic conservative
@@ -55,8 +56,8 @@
 
 #include "obs/shard_capture.h"
 #include "sim/barrier.h"
-#include "sim/calendar_queue.h"
 #include "sim/engine.h"
+#include "sim/event_heap.h"
 #include "sim/shard.h"
 
 namespace acp::sim {
@@ -144,8 +145,7 @@ class ShardedEngine : public ShardHost {
   };
 
   struct Lane {
-    CalendarQueue<LanePending> queue;
-    std::uint64_t next_id = 1;
+    EventHeap<LanePending> queue;
     std::uint64_t fired = 0;
     std::vector<Op> ops;  ///< written by the worker in shard phase, drained at the barrier
     obs::Counter* events_metric = nullptr;

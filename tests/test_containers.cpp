@@ -1,23 +1,22 @@
-// Property tests for the hot-path containers (ISSUE 9): the bump arena,
-// the open-addressing FlatMap, the SmallVec, and the calendar-queue event
-// queue — each driven through randomized operation interleavings against a
-// std:: reference implementation. The calendar-queue reference is the OLD
-// engine queue (binary heap ordered by (at, seq) with lazy cancellation),
-// so these tests pin the exact tie-breaking contract the byte-identical
-// refactor depends on.
+// Property tests for the hot-path containers: the bump arena, the
+// open-addressing FlatMap, the SmallVec, and the engine's event heap — each
+// driven through randomized operation interleavings against a std::
+// reference implementation. The event heap's reference is an ordered set on
+// (at, seq), so these tests pin the exact tie-breaking contract that keeps
+// sim output byte-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
-#include <queue>
+#include <memory>
 #include <set>
-#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
-#include "sim/calendar_queue.h"
+#include "sim/event_heap.h"
 #include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
@@ -25,7 +24,7 @@
 
 namespace {
 
-using acp::sim::CalendarQueue;
+using acp::sim::EventHeap;
 using acp::util::Arena;
 using acp::util::ArenaVector;
 using acp::util::FlatMap;
@@ -184,173 +183,214 @@ TEST(SmallVec, MatchesStdVectorAcrossInlineHeapBoundary) {
   }
 }
 
-// ---- CalendarQueue vs the old binary-heap engine queue ----------------------
+// ---- EventHeap vs a reference model -----------------------------------------
 
-// Reference: exactly the queue the old engine used — a min-heap on
-// (at, seq) with an id set for lazy cancellation.
+// Reference: an ordered set on (at, seq) plus a payload map by handle — the
+// contract the engine's determinism depends on, with no heap in it.
 class HeapReference {
  public:
-  struct Item {
-    double at;
-    std::uint64_t seq;
-    std::uint64_t id;
-  };
-
-  void push(double at, std::uint64_t seq, std::uint64_t id) {
-    heap_.push(Item{at, seq, id});
-    live_.insert(id);
+  void push(double at, std::uint64_t seq, std::uint64_t handle, int payload) {
+    order_.insert({at, seq, handle});
+    live_.emplace(handle, Live{at, seq, payload});
   }
-  bool cancel(std::uint64_t id) { return live_.erase(id) > 0; }
+  bool cancel(std::uint64_t handle) {
+    const auto it = live_.find(handle);
+    if (it == live_.end()) return false;
+    order_.erase({it->second.at, it->second.seq, handle});
+    live_.erase(it);
+    return true;
+  }
   std::size_t size() const { return live_.size(); }
+  bool live(std::uint64_t handle) const { return live_.count(handle) > 0; }
 
-  // Pops the next non-cancelled item; false when empty (or above bound).
-  bool pop(bool bounded, double bound, Item& out) {
-    while (!heap_.empty()) {
-      if (live_.count(heap_.top().id) == 0) {
-        heap_.pop();  // lazily discard cancelled entries
-        continue;
-      }
-      if (bounded && heap_.top().at > bound) return false;
-      out = heap_.top();
-      heap_.pop();
-      live_.erase(out.id);
-      return true;
-    }
-    return false;
+  /// The minimum (at, seq, handle) and its payload; false when empty or,
+  /// bounded, when the minimum lies past `bound`.
+  bool pop(bool bounded, double bound, std::tuple<double, std::uint64_t, std::uint64_t>& key,
+           int& payload) {
+    if (order_.empty()) return false;
+    if (bounded && std::get<0>(*order_.begin()) > bound) return false;
+    key = *order_.begin();
+    order_.erase(order_.begin());
+    payload = live_.at(std::get<2>(key)).payload;
+    live_.erase(std::get<2>(key));
+    return true;
+  }
+  bool peek(double& at, std::uint64_t& seq) const {
+    if (order_.empty()) return false;
+    at = std::get<0>(*order_.begin());
+    seq = std::get<1>(*order_.begin());
+    return true;
   }
 
  private:
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+  struct Live {
+    double at;
+    std::uint64_t seq;
+    int payload;
   };
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::set<std::uint64_t> live_;
+  std::set<std::tuple<double, std::uint64_t, std::uint64_t>> order_;
+  std::map<std::uint64_t, Live> live_;
 };
 
-// One randomized interleaving: pushes (with deliberate at-ties), cancels,
-// bounded and unbounded pops — the calendar queue must reproduce the heap's
-// pop sequence exactly, including (at, seq) tie-breaks.
+// One seeded interleaving: pushes (clustered mode draws from few distinct
+// times, so most timestamps tie; some land before the last pop), cancels
+// of live, fired, cancelled and never-issued handles, peeks, and bounded
+// and unbounded pops. The heap must reproduce the reference's pop
+// sequence exactly.
 void run_interleaving(std::uint64_t seed, bool clustered) {
-  CalendarQueue<int> q;
+  EventHeap<int> q;
   HeapReference ref;
   Rng rng(seed);
-  std::uint64_t next_seq = 0, next_id = 0;
-  std::vector<std::uint64_t> live_ids;
+  std::uint64_t next_seq = 0;
+  std::vector<std::uint64_t> issued;  // every handle ever returned
   double now = 0.0;
+  int next_payload = 0;
 
-  for (int op = 0; op < 5000; ++op) {
-    const std::size_t roll = rng.below(10);
-    if (roll < 5) {
-      // Push. Clustered mode draws from few distinct times to force ties;
-      // spread mode exercises bucket rotation and resizes.
-      const double at =
-          clustered ? now + static_cast<double>(rng.below(4)) : now + rng.uniform(0.0, 1000.0);
-      const std::uint64_t id = next_id++;
-      q.push(at, next_seq, id, static_cast<int>(id));
-      ref.push(at, next_seq, id);
+  const auto check_pop = [&](bool bounded, double bound) {
+    EventHeap<int>::Entry got;
+    std::tuple<double, std::uint64_t, std::uint64_t> want;
+    int want_payload = 0;
+    const bool has = ref.pop(bounded, bound, want, want_payload);
+    ASSERT_EQ(bounded ? q.pop_if_le(bound, got) : q.pop_min(got), has);
+    if (!has) return;
+    ASSERT_EQ(got.at, std::get<0>(want));
+    ASSERT_EQ(got.seq, std::get<1>(want));
+    ASSERT_EQ(got.payload, want_payload);
+    ASSERT_EQ(q.find(std::get<2>(want)), nullptr);  // fired: its handle went stale
+    now = got.at;
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    const std::size_t roll = rng.below(20);
+    if (roll < 9) {
+      const double at = clustered ? now + static_cast<double>(rng.below(4)) - 1.0
+                                  : now + rng.uniform(-5.0, 1000.0);
+      const int payload = next_payload++;
+      const std::uint64_t h = q.push(at, next_seq, payload);
+      ASSERT_NE(h, 0u);
+      ASSERT_FALSE(ref.live(h));  // a live handle is never issued twice
+      ref.push(at, next_seq, h, payload);
       ++next_seq;
-      live_ids.push_back(id);
-    } else if (roll < 7) {
-      // Cancel a random id (sometimes one that is already gone).
-      if (!live_ids.empty()) {
-        const std::size_t pick = rng.below(live_ids.size());
-        const std::uint64_t id = live_ids[pick];
-        ASSERT_EQ(q.cancel(id), ref.cancel(id));
-        live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(pick));
+      issued.push_back(h);
+    } else if (roll < 13) {
+      // Any handle ever issued: live, fired, cancelled, or reissued slot.
+      if (!issued.empty()) {
+        const std::uint64_t h = issued[rng.below(issued.size())];
+        ASSERT_EQ(q.find(h) != nullptr, ref.live(h));
+        ASSERT_EQ(q.cancel(h), ref.cancel(h));
       }
-      ASSERT_FALSE(q.cancel(next_id + 1000));  // never-pushed id
-    } else if (roll < 9) {
-      // Unbounded pop.
-      CalendarQueue<int>::Entry got;
-      HeapReference::Item want{};
-      const bool has = ref.pop(false, 0.0, want);
-      ASSERT_EQ(q.pop_min(got), has);
-      if (has) {
-        ASSERT_EQ(got.at, want.at);
-        ASSERT_EQ(got.seq, want.seq);
-        ASSERT_EQ(got.id, want.id);
-        ASSERT_EQ(got.payload, static_cast<int>(want.id));
-        now = got.at;
-        live_ids.erase(std::find(live_ids.begin(), live_ids.end(), want.id));
+      ASSERT_FALSE(q.cancel(0));
+      ASSERT_FALSE(q.cancel((std::uint64_t{1} << 32) | 0xfffffff0u));  // never issued
+    } else if (roll < 14) {
+      double at = 0.0, want_at = 0.0;
+      std::uint64_t seq = 0, want_seq = 0;
+      const std::size_t before = q.size();
+      ASSERT_EQ(q.peek(at, seq), ref.peek(want_at, want_seq));
+      if (before > 0) {
+        ASSERT_EQ(at, want_at);
+        ASSERT_EQ(seq, want_seq);
       }
+      ASSERT_EQ(q.size(), before);
+    } else if (roll < 17) {
+      check_pop(false, 0.0);
     } else {
-      // Bounded pop (run_until's drain loop).
-      const double bound = now + rng.uniform(0.0, 10.0);
-      CalendarQueue<int>::Entry got;
-      HeapReference::Item want{};
-      const bool has = ref.pop(true, bound, want);
-      ASSERT_EQ(q.pop_if_le(bound, got), has);
-      if (has) {
-        ASSERT_EQ(got.at, want.at);
-        ASSERT_EQ(got.seq, want.seq);
-        ASSERT_EQ(got.id, want.id);
-        now = got.at;
-        live_ids.erase(std::find(live_ids.begin(), live_ids.end(), want.id));
-      }
+      check_pop(true, now + rng.uniform(-1.0, 10.0));
     }
+    if (::testing::Test::HasFatalFailure()) return;
     ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.size() == 0);
   }
 
-  // Drain: the full remaining order must match.
-  CalendarQueue<int>::Entry got;
-  HeapReference::Item want{};
-  while (ref.pop(false, 0.0, want)) {
-    ASSERT_TRUE(q.pop_min(got));
-    ASSERT_EQ(got.at, want.at);
-    ASSERT_EQ(got.seq, want.seq);
-    ASSERT_EQ(got.id, want.id);
+  while (ref.size() > 0) {
+    check_pop(false, 0.0);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  EventHeap<int>::Entry got;
   ASSERT_FALSE(q.pop_min(got));
   ASSERT_EQ(q.size(), 0u);
 }
 
-TEST(CalendarQueue, MatchesOldHeapOrderSpreadTimes) {
+TEST(EventHeap, MatchesReferenceSpreadTimes) {
   for (std::uint64_t seed = 10; seed < 16; ++seed) run_interleaving(seed, /*clustered=*/false);
 }
 
-TEST(CalendarQueue, MatchesOldHeapOrderClusteredTies) {
+TEST(EventHeap, MatchesReferenceClusteredTies) {
   for (std::uint64_t seed = 20; seed < 26; ++seed) run_interleaving(seed, /*clustered=*/true);
 }
 
-TEST(CalendarQueue, CancelReclaimsEagerly) {
-  // Satellite fix: cancelled entries must leave the queue immediately —
-  // size() drops and heavy churn does not accumulate dead entries.
-  CalendarQueue<std::string> q;
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    q.push(static_cast<double>(i), i, i, std::string(100, 'x'));
+TEST(EventHeap, CancelTopMiddleFiredAndReusedHandles) {
+  EventHeap<int> q;
+  std::vector<std::uint64_t> h;
+  for (int i = 0; i < 9; ++i) h.push_back(q.push(static_cast<double>(i), i, i));
+  EXPECT_TRUE(q.cancel(h[0]));  // the top
+  EXPECT_TRUE(q.cancel(h[4]));  // a middle entry
+  EventHeap<int>::Entry e;
+  ASSERT_TRUE(q.pop_min(e));
+  EXPECT_EQ(e.payload, 1);
+  EXPECT_FALSE(q.cancel(h[1]));  // already fired
+  EXPECT_FALSE(q.cancel(h[0]));  // already cancelled
+  // h[0]'s, h[4]'s and h[1]'s slots are reused; their old handles stay stale.
+  const std::uint64_t a = q.push(2.5, 100, 100);
+  const std::uint64_t b = q.push(3.5, 101, 101);
+  const std::uint64_t c = q.push(4.5, 102, 102);
+  for (const std::uint64_t stale : {h[0], h[1], h[4]}) {
+    EXPECT_EQ(q.find(stale), nullptr);
+    EXPECT_FALSE(q.cancel(stale));
   }
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    if (i % 2 == 0) {
-      EXPECT_TRUE(q.cancel(i));
-    }
-  }
-  EXPECT_EQ(q.size(), 5000u);
-  EXPECT_FALSE(q.cancel(0));  // already cancelled
-  CalendarQueue<std::string>::Entry e;
-  for (std::uint64_t want = 1; want < 10000; want += 2) {
-    ASSERT_TRUE(q.pop_min(e));
-    ASSERT_EQ(e.id, want);
-  }
-  EXPECT_FALSE(q.pop_min(e));
+  EXPECT_EQ(q.size(), 9u);
+  EXPECT_TRUE(q.cancel(b));
+  std::vector<int> order;
+  while (q.pop_min(e)) order.push_back(e.payload);
+  EXPECT_EQ(order, (std::vector<int>{2, 100, 3, 102, 5, 6, 7, 8}));
+  EXPECT_FALSE(q.cancel(a));
+  EXPECT_FALSE(q.cancel(c));
 }
 
-TEST(CalendarQueue, PushIntoPastStillOrdersCorrectly) {
-  // Pops advance the queue's day cursor; a push at an earlier time than the
-  // last pop must still come out first (the engine never does this, but the
-  // queue's contract should not silently depend on that).
-  CalendarQueue<int> q;
-  CalendarQueue<int>::Entry e;
-  q.push(100.0, 0, 0, 0);
+TEST(EventHeap, CancelAndPopDestroyPayloadsEagerly) {
+  // Each payload counts itself alive; the heap may hold no payload it has
+  // cancelled or popped.
+  struct Counted {
+    explicit Counted(int* live) : live_(live) { ++*live_; }
+    ~Counted() { --*live_; }
+    Counted(const Counted&) = delete;
+    Counted& operator=(const Counted&) = delete;
+    int* live_;
+  };
+  int live = 0;
+  EventHeap<std::unique_ptr<Counted>> q;
+  Rng rng(77);
+  std::vector<std::uint64_t> handles;
+  for (int i = 0; i < 2000; ++i) {
+    handles.push_back(q.push(rng.uniform(0.0, 100.0), static_cast<std::uint64_t>(i),
+                             std::make_unique<Counted>(&live)));
+  }
+  ASSERT_EQ(live, 2000);
+  for (std::size_t i = 0; i < handles.size(); i += 2) {
+    ASSERT_TRUE(q.cancel(handles[i]));
+    ASSERT_EQ(static_cast<std::size_t>(live), q.size());  // destroyed at once
+  }
+  EventHeap<std::unique_ptr<Counted>>::Entry e;
+  while (q.pop_min(e)) {
+    ASSERT_EQ(static_cast<std::size_t>(live), q.size() + 1);  // only `e` holds it
+    e.payload.reset();
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(EventHeap, PushIntoPastStillOrdersCorrectly) {
+  // A push at an earlier time than the last pop must still come out first
+  // (the engine never does this, but the heap's contract does not depend
+  // on it).
+  EventHeap<int> q;
+  EventHeap<int>::Entry e;
+  q.push(100.0, 0, 0);
   ASSERT_TRUE(q.pop_min(e));
-  q.push(50.0, 1, 1, 1);
-  q.push(200.0, 2, 2, 2);
+  q.push(50.0, 1, 1);
+  q.push(200.0, 2, 2);
   ASSERT_TRUE(q.pop_min(e));
-  EXPECT_EQ(e.id, 1u);
+  EXPECT_EQ(e.payload, 1);
   ASSERT_TRUE(q.pop_min(e));
-  EXPECT_EQ(e.id, 2u);
+  EXPECT_EQ(e.payload, 2);
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/profile.h"
-#include "sim/calendar_queue.h"
 #include "sim/counters.h"
+#include "sim/event_heap.h"
 #include "sim/sharded_engine.h"
 
 namespace acp::sim {
@@ -178,64 +178,173 @@ TEST(Engine, NextEventAtPeeksWithoutMutating) {
   EXPECT_DOUBLE_EQ(at, 2.0);
 }
 
-// ---- Calendar-queue shard-boundary behavior ---------------------------------
+// ---- Typed events, the closure pool and cancellation -----------------------
+
+/// A typed event's target: appends its arg to `order`.
+struct Recorder {
+  std::vector<int>* order;
+  static void note(void* self, std::uint64_t arg) {
+    static_cast<Recorder*>(self)->order->push_back(static_cast<int>(arg));
+  }
+};
+
+TEST(Engine, TypedEventsClosuresAndObserversInterleaveInScheduleOrder) {
+  Engine e;
+  std::vector<int> order;
+  Recorder rec{&order};
+  const Engine::Event typed{&Recorder::note, &rec, 0};
+  // Equal timestamps, every kind mixed: scheduling order decides.
+  e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 1});
+  e.schedule_at(1.0, [&] { order.push_back(2); });
+  e.observe_at(1.0, [&] { order.push_back(3); });
+  e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 4});
+  e.schedule_at(0.5, [&] {
+    order.push_back(0);
+    // Scheduled while firing: after everything already at 1.0.
+    e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 6});
+    e.schedule_at(1.0, [&] { order.push_back(7); });
+  });
+  e.schedule_at(1.0, [&] { order.push_back(5); });
+  e.schedule_at(2.0, typed);
+  EXPECT_EQ(e.run(), 8u);  // the observer is no event
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 0}));
+}
+
+TEST(Engine, CancelTypedEventAndClosureDestroysTheClosureAtOnce) {
+  Engine e;
+  std::vector<int> order;
+  Recorder rec{&order};
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  const EventId closure = e.schedule_at(2.0, [token, &order] { order.push_back(*token); });
+  token.reset();
+  const EventId typed = e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 9});
+  e.schedule_at(3.0, Engine::Event{&Recorder::note, &rec, 3});
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(e.cancel(closure));
+  EXPECT_TRUE(watch.expired());  // the pooled closure is gone before its fire time
+  EXPECT_TRUE(e.cancel(typed));
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{3}));
+}
+
+TEST(Engine, IdZeroAndStaleIdsCancelNothing) {
+  Engine e;
+  int fired = 0;
+  EXPECT_FALSE(e.cancel(0));
+  const EventId a = e.schedule_at(1.0, [&] { ++fired; });
+  const EventId b = e.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_NE(a, 0u);
+  EXPECT_TRUE(e.cancel(a));
+  ASSERT_TRUE(e.step());  // fires b
+  // Both slots are reused; the old ids must not reach the new events.
+  const EventId c = e.schedule_at(3.0, [&] { ++fired; });
+  const EventId d = e.schedule_at(4.0, [&] { ++fired; });
+  for (const EventId stale : {a, b}) {
+    EXPECT_NE(stale, c);
+    EXPECT_NE(stale, d);
+    EXPECT_FALSE(e.cancel(stale));
+  }
+  EXPECT_FALSE(e.cancel(0));
+  EXPECT_EQ(e.pending(), 2u);
+  e.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(e.cancel(c));
+  EXPECT_FALSE(e.cancel(d));
+}
+
+TEST(Engine, PendingExcludesObserversAndCancelledEvents) {
+  Engine e;
+  std::vector<int> order;
+  Recorder rec{&order};
+  const EventId typed = e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 1});
+  const EventId closure = e.schedule_at(2.0, [] {});
+  const EventId watcher = e.observe_at(1.5, [] {});
+  e.observe_at(2.5, [] {});
+  e.schedule_at(3.0, Engine::Event{&Recorder::note, &rec, 3});
+  EXPECT_EQ(e.pending(), 3u);
+  EXPECT_TRUE(e.cancel(watcher));
+  EXPECT_EQ(e.pending(), 3u);
+  EXPECT_TRUE(e.cancel(typed));
+  EXPECT_TRUE(e.cancel(closure));
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run_until(2.75), 0u);  // only the observer at 2.5 ran
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(order, (std::vector<int>{3}));
+}
+
+TEST(Engine, RejectsNullTypedHandler) {
+  Engine e;
+  EXPECT_THROW(e.schedule_at(1.0, Engine::Event{}), PreconditionError);
+  e.schedule_at(2.0, [] {});
+  e.run();
+  std::vector<int> order;
+  Recorder rec{&order};
+  EXPECT_THROW(e.schedule_at(1.0, Engine::Event{&Recorder::note, &rec, 0}), PreconditionError);
+}
+
+// ---- Event-heap shard-boundary behavior -------------------------------------
 //
 // The sharded engine leans on queue semantics a serial run never exercises:
-// peek_min interleaved with bounded pops (window skip-ahead), pop_if_le
+// peeks interleaved with bounded pops (window skip-ahead), pop_if_le
 // stopping exactly at a barrier bound, and cancellation racing a window
 // boundary. Payloads are ints — the contract is ordering, not content.
 
-TEST(CalendarQueue, PeekMinNeverMutatesAcrossBoundedPops) {
-  CalendarQueue<int> q;
-  q.push(3.0, 1, 1, 30);
-  q.push(1.0, 2, 2, 10);
-  q.push(2.0, 3, 3, 20);
+TEST(EventHeap, PeekNeverMutatesAcrossBoundedPops) {
+  EventHeap<int> q;
+  q.push(3.0, 1, 30);
+  q.push(1.0, 2, 10);
+  q.push(2.0, 3, 20);
   double at = 0.0;
   std::uint64_t seq = 0;
-  ASSERT_TRUE(q.peek_min(at, seq));
+  ASSERT_TRUE(q.peek(at, seq));
   EXPECT_DOUBLE_EQ(at, 1.0);
   EXPECT_EQ(seq, 2u);
-  CalendarQueue<int>::Entry ev;
+  EventHeap<int>::Entry ev;
   EXPECT_FALSE(q.pop_if_le(0.5, ev));  // bound below the min: no pop
-  ASSERT_TRUE(q.peek_min(at, seq));    // the failed bounded pop changed nothing
+  ASSERT_TRUE(q.peek(at, seq));        // the failed bounded pop changed nothing
   EXPECT_DOUBLE_EQ(at, 1.0);
+  EXPECT_EQ(q.size(), 3u);
   // Drain with a window-style bound; peek always agrees with the next pop.
   ASSERT_TRUE(q.pop_if_le(2.0, ev));
   EXPECT_EQ(ev.payload, 10);
-  ASSERT_TRUE(q.peek_min(at, seq));
+  ASSERT_TRUE(q.peek(at, seq));
   EXPECT_DOUBLE_EQ(at, 2.0);
   ASSERT_TRUE(q.pop_if_le(2.0, ev));
   EXPECT_EQ(ev.payload, 20);
   EXPECT_FALSE(q.pop_if_le(2.0, ev));  // 3.0 is past the window bound
-  ASSERT_TRUE(q.peek_min(at, seq));
+  ASSERT_TRUE(q.peek(at, seq));
   EXPECT_DOUBLE_EQ(at, 3.0);
 }
 
-TEST(CalendarQueue, EqualTimestampsPopInSeqOrderUnderBound) {
+TEST(EventHeap, EqualTimestampsPopInSeqOrderUnderBound) {
   // (at, seq) ties are the cross-shard ordering contract: seq is the
   // stream-major order key, so equal-time events from different streams
   // must come back in key order even through a bounded drain.
-  CalendarQueue<int> q;
-  q.push(5.0, 40, 1, 4);
-  q.push(5.0, 10, 2, 1);
-  q.push(5.0, 30, 3, 3);
-  q.push(5.0, 20, 4, 2);
+  EventHeap<int> q;
+  q.push(5.0, 40, 4);
+  q.push(5.0, 10, 1);
+  q.push(5.0, 30, 3);
+  q.push(5.0, 20, 2);
   std::vector<int> order;
-  CalendarQueue<int>::Entry ev;
+  EventHeap<int>::Entry ev;
   while (q.pop_if_le(5.0, ev)) order.push_back(ev.payload);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(CalendarQueue, CancelBetweenWindowsSkipsEagerly) {
-  CalendarQueue<int> q;
-  q.push(1.0, 1, 1, 10);
-  q.push(2.0, 2, 2, 20);
-  q.push(3.0, 3, 3, 30);
-  CalendarQueue<int>::Entry ev;
+TEST(EventHeap, CancelBetweenWindowsSkipsEagerly) {
+  EventHeap<int> q;
+  const auto first = q.push(1.0, 1, 10);
+  const auto second = q.push(2.0, 2, 20);
+  q.push(3.0, 3, 30);
+  EventHeap<int>::Entry ev;
   ASSERT_TRUE(q.pop_if_le(1.5, ev));  // window 1 drains the first event
-  EXPECT_TRUE(q.cancel(2));           // cancelled between windows
-  EXPECT_FALSE(q.cancel(2));          // idempotent: already gone
-  EXPECT_FALSE(q.cancel(1));          // already fired
+  EXPECT_TRUE(q.cancel(second));      // cancelled between windows
+  EXPECT_FALSE(q.cancel(second));     // idempotent: already gone
+  EXPECT_FALSE(q.cancel(first));      // already fired
   EXPECT_EQ(q.size(), 1u);
   ASSERT_TRUE(q.pop_if_le(10.0, ev));
   EXPECT_EQ(ev.payload, 30);

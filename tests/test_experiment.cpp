@@ -210,11 +210,14 @@ TEST(Experiment, AttachedRunsMeasureWhatDetachedRunsMeasure) {
 // Conservation: no pool holds a transient record of a request once its
 // outcome is known, and after a full run plus teardown horizon every pool
 // drains back to full capacity with no live transient and no commit record
-// left, and the system's footprint index is empty (no leaked commitments,
-// transients or index entries). Read at the drain time itself: a leaked
-// transient would have expired by any far-future read. Runs on an Inet
-// world and a small torus, fault-free and under node crashes, probe loss,
-// scripted transient leaks and the injector's reclamation sweeps.
+// left, the system's footprint index is empty (no leaked commitments,
+// transients or index entries), and every probe-slab slot is free (late
+// arrivals after a finalize freed theirs). Read at the drain time itself: a
+// leaked transient would have expired by any far-future read. Runs on an
+// Inet world and a small torus, fault-free and under node crashes, probe
+// loss, scripted transient leaks and the injector's reclamation sweeps.
+// Returns how many requests finalized at their deadline with probes still
+// parked in the slab.
 bool holds_any_transient(const stream::StreamSystem& sys, stream::RequestId request) {
   for (stream::NodeId n = 0; n < sys.node_count(); ++n) {
     if (sys.node_pool(n).holds_transients_of(request)) return true;
@@ -225,7 +228,8 @@ bool holds_any_transient(const stream::StreamSystem& sys, stream::RequestId requ
   return false;
 }
 
-void check_conservation(const SystemConfig& sys_cfg, bool faults) {
+std::size_t check_conservation(const SystemConfig& sys_cfg, bool faults,
+                               double probe_timeout_s = core::ProbingConfig{}.probe_timeout_s) {
   const auto fabric = build_fabric(sys_cfg);
   Deployment dep = build_deployment(fabric, sys_cfg);
   auto& sys = *dep.sys;
@@ -236,8 +240,10 @@ void check_conservation(const SystemConfig& sys_cfg, bool faults) {
   discovery::Registry registry(sys, counters);
   state::GlobalStateManager global_state(sys, engine, counters);
   global_state.start();
+  core::ProbingConfig probing;
+  probing.probe_timeout_s = probe_timeout_s;
   core::ProbingProtocol protocol(sys, sessions, engine, counters, registry, global_state.view(),
-                                 util::Rng(3));
+                                 util::Rng(3), probing);
   core::AcpComposer acp(protocol, 0.5);
 
   // Leaked holds use the injector's default hour-long TTL, so only the age
@@ -268,6 +274,7 @@ void check_conservation(const SystemConfig& sys_cfg, bool faults) {
                                  fabric.ip.node_count(), util::Rng(4));
   std::deque<workload::Request> live;
   std::vector<stream::SessionId> open_sessions;
+  std::size_t parked_at_deadline = 0;
   double t = 0.0;
   for (int i = 0; i < 50; ++i) {
     t += gen.next_interarrival(t);
@@ -278,6 +285,9 @@ void check_conservation(const SystemConfig& sys_cfg, bool faults) {
     engine.schedule_at(rp->arrival_time, [&, rp] {
       acp.compose(*rp, [&, rp](const core::CompositionOutcome& out) {
         EXPECT_FALSE(holds_any_transient(sys, rp->id)) << "request " << rp->id;
+        if (engine.now() == rp->arrival_time + probe_timeout_s && protocol.parked_probes() > 0) {
+          ++parked_at_deadline;
+        }
         if (out.success()) open_sessions.push_back(out.session);
       });
     });
@@ -314,6 +324,8 @@ void check_conservation(const SystemConfig& sys_cfg, bool faults) {
   }
   EXPECT_EQ(sys.request_footprint_count(), 0u);
   EXPECT_EQ(sys.session_footprint_count(), 0u);
+  EXPECT_EQ(protocol.parked_probes(), 0u);
+  return parked_at_deadline;
 }
 
 TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
@@ -329,6 +341,22 @@ TEST(Experiment, ResourceConservationAfterAllSessionsEnd) {
       SCOPED_TRACE(faults ? "torus, faults" : "torus, no faults");
       check_conservation(torus, faults);
     }
+  }
+}
+
+TEST(Experiment, ProbeSlabDrainsAfterDeadlinesWithProbesInFlight) {
+  // Deadlines short enough that requests finalize with probes parked, under
+  // loss, retries and deputy crashes: the late arrivals free every slot.
+  auto torus = small_system();
+  torus.torus_rows = 8;
+  torus.torus_cols = 10;
+  {
+    SCOPED_TRACE("inet");
+    EXPECT_GT(check_conservation(small_system(), /*faults=*/true, 0.1), 0u);
+  }
+  {
+    SCOPED_TRACE("torus");
+    EXPECT_GT(check_conservation(torus, /*faults=*/true, 0.1), 0u);
   }
 }
 

@@ -674,6 +674,15 @@ void check_join_instance(const net::OverlayMesh& mesh, util::Rng& rng, std::uint
   EXPECT_EQ(best.index, head.second) << "seed " << seed;
   tally.tie += scored.size() > 1 && scored[1].first == head.first ? 1 : 0;
 
+  // Serial commit() takes the join's φ as is: it must equal a fresh
+  // evaluate() of the winner, outside any batch, on the same view and time.
+  stream::CompositionEvaluator fresh(sys);
+  const auto again =
+      fresh.evaluate(*best.graph, paths, req.qos_req, req.policy, sys.true_state(), 0.0);
+  ASSERT_TRUE(again.has_value()) << "seed " << seed;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(*again), std::bit_cast<std::uint64_t>(best.phi))
+      << "seed " << seed << ": " << *again << " vs " << best.phi;
+
   const auto batch = ref_eval.batch(sys.true_state(), 0.0);
   for (const ComponentGraph& g : graphs) {
     if (full_bound(ref_eval, sys, fg, g) < head.first &&

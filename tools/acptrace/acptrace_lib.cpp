@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/error.h"
 
 namespace acp::tracecli {
@@ -603,12 +604,21 @@ BenchDoc decode_bench(const JsonValue& doc) {
   return b;
 }
 
-BenchDoc load_bench_file(const std::string& path) {
+namespace {
+
+/// A whole JSON document file's text; `what` names it in the error.
+std::string read_file(const std::string& path, const char* what) {
   std::ifstream in(path);
-  if (!in) throw PreconditionError("cannot open bench report: " + path);
+  if (!in) throw PreconditionError(std::string("cannot open ") + what + ": " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return decode_bench(parse_json(buf.str()));
+  return buf.str();
+}
+
+}  // namespace
+
+BenchDoc load_bench_file(const std::string& path) {
+  return decode_bench(parse_json(read_file(path, "bench report")));
 }
 
 namespace {
@@ -1433,6 +1443,122 @@ ExportStats export_attribution_folded(std::ostream& os, const AttrDoc& attr) {
     ++st.stacks;
   }
   return st;
+}
+
+// ---- Allocation budget ------------------------------------------------------
+
+namespace {
+
+std::uint64_t count_field(const JsonValue& v, const char* key) {
+  const JsonValue* f = v.find(key);
+  if (f == nullptr || f->kind != JsonValue::Kind::kNumber || f->number < 0.0 ||
+      f->number != std::floor(f->number)) {
+    throw PreconditionError(std::string("missing or non-integer \"") + key + "\"");
+  }
+  return static_cast<std::uint64_t>(f->number);
+}
+
+}  // namespace
+
+AllocBudget decode_alloc_budget(const JsonValue& doc) {
+  const std::string schema = doc.str_or("schema", "");
+  if (schema != "acp-alloc-budget/1") {
+    throw PreconditionError("not an acp-alloc-budget/1 document (schema: \"" + schema + "\")");
+  }
+  AllocBudget b;
+  b.toolchain = doc.str_or("toolchain", "");
+  const JsonValue* scopes = doc.find("scopes");
+  if (scopes == nullptr || scopes->kind != JsonValue::Kind::kArray) {
+    throw PreconditionError("alloc budget has no \"scopes\" array");
+  }
+  for (const JsonValue& s : scopes->array) {
+    const std::string name = s.str_or("scope", "");
+    if (name.empty()) throw PreconditionError("alloc budget entry without a scope");
+    const AllocScope budget{count_field(s, "calls"), count_field(s, "allocs")};
+    if (!b.scopes.emplace(name, budget).second) {
+      throw PreconditionError("alloc budget lists scope twice: " + name);
+    }
+  }
+  return b;
+}
+
+AllocBudget load_alloc_budget_file(const std::string& path) {
+  return decode_alloc_budget(parse_json(read_file(path, "alloc budget")));
+}
+
+AllocTable decode_alloc_metrics(const JsonValue& doc) {
+  AllocTable table;
+  if (const JsonValue* hists = doc.find("histograms")) {
+    for (const JsonValue& h : hists->array) {
+      if (h.str_or("name", "") != obs::metric::kProfAllocs) continue;
+      const JsonValue* labels = h.find("labels");
+      const std::string scope = labels == nullptr ? "" : labels->str_or("scope", "");
+      if (scope.empty()) continue;
+      table[scope] = AllocScope{count_field(h, "count"), count_field(h, "sum")};
+    }
+  }
+  if (table.empty()) {
+    throw PreconditionError(std::string("no ") + obs::metric::kProfAllocs +
+                            " series (is the build ACPSTREAM_PROF_ALLOC=ON?)");
+  }
+  return table;
+}
+
+AllocTable load_alloc_metrics_file(const std::string& path) {
+  return decode_alloc_metrics(parse_json(read_file(path, "metrics snapshot")));
+}
+
+AllocCheck check_alloc_budget(const AllocTable& budget, const AllocTable& measured) {
+  AllocCheck check;
+  for (const auto& [scope, want] : budget) {
+    const auto it = measured.find(scope);
+    if (it == measured.end()) {
+      check.failures.push_back(scope + ": budgeted but not measured");
+      continue;
+    }
+    const AllocScope& got = it->second;
+    if (got.calls != want.calls) {
+      check.failures.push_back(scope + ": " + std::to_string(got.calls) + " calls, budget has " +
+                               std::to_string(want.calls) + " (calls are sim counts)");
+    }
+    if (got.allocs > want.allocs) {
+      check.failures.push_back(scope + ": " + std::to_string(got.allocs) +
+                               " allocations over the budget's " + std::to_string(want.allocs));
+    } else if (got.allocs < want.allocs) {
+      check.notes.push_back(scope + ": " + std::to_string(got.allocs) +
+                            " allocations, under the budget's " + std::to_string(want.allocs) +
+                            "; lower the budget to match");
+    }
+  }
+  for (const auto& [scope, got] : measured) {
+    if (budget.count(scope) == 0) {
+      check.notes.push_back(scope + ": measured (" + std::to_string(got.allocs) +
+                            " allocations) but not budgeted");
+    }
+  }
+  return check;
+}
+
+void write_alloc_check(std::ostream& os, const AllocBudget& budget, const AllocTable& measured,
+                       const AllocCheck& check) {
+  os << "alloc budget (" << (budget.toolchain.empty() ? "toolchain unrecorded" : budget.toolchain)
+     << ")\n";
+  for (const auto& [scope, want] : budget.scopes) {
+    const auto it = measured.find(scope);
+    os << "  " << scope << ": budget " << want.allocs << " allocs / " << want.calls << " calls";
+    if (it != measured.end()) {
+      const AllocScope& got = it->second;
+      os << ", measured " << got.allocs << " / " << got.calls;
+      if (got.calls > 0) {
+        os << " (" << fmt(static_cast<double>(got.allocs) / static_cast<double>(got.calls))
+           << " per call)";
+      }
+    }
+    os << '\n';
+  }
+  for (const auto& n : check.notes) os << "note: " << n << '\n';
+  for (const auto& f : check.failures) os << "FAIL: " << f << '\n';
+  os << (check.ok() ? "OK: within the allocation budget\n" : "allocation budget exceeded\n");
 }
 
 }  // namespace acp::tracecli

@@ -400,4 +400,43 @@ AttrDoc load_attribution_file(const std::string& path);
 /// (e.g. rank). Complements export_folded_stacks in one flamegraph input.
 ExportStats export_attribution_folded(std::ostream& os, const AttrDoc& attr);
 
+// ---- Allocation budget ------------------------------------------------------
+
+/// One profiling scope's allocation tally: calls into it (the
+/// acp.prof.allocs{scope} histogram's count) and the operator-new calls made
+/// inside them (its sum).
+struct AllocScope {
+  std::uint64_t calls = 0;
+  std::uint64_t allocs = 0;
+};
+using AllocTable = std::map<std::string, AllocScope>;
+
+/// A committed acp-alloc-budget/1 document: per scope, the exact calls and
+/// the most allocations a serial run may make, for the toolchain named in
+/// it (the counts follow the standard library's growth policies).
+struct AllocBudget {
+  std::string toolchain;
+  AllocTable scopes;
+};
+
+AllocBudget decode_alloc_budget(const JsonValue& doc);
+AllocBudget load_alloc_budget_file(const std::string& path);
+/// The acp.prof.allocs{scope} series of a --metrics-out snapshot taken by
+/// an ACPSTREAM_PROF_ALLOC build. Throws PreconditionError when it has none.
+AllocTable decode_alloc_metrics(const JsonValue& doc);
+AllocTable load_alloc_metrics_file(const std::string& path);
+
+struct AllocCheck {
+  std::vector<std::string> failures;
+  std::vector<std::string> notes;
+  bool ok() const { return failures.empty(); }
+};
+
+/// Every budgeted scope must be measured, with exactly its calls (they are
+/// sim counts) and at most its allocations. A scope under budget gets a note
+/// naming the lower figure to commit: the budget only ratchets down.
+AllocCheck check_alloc_budget(const AllocTable& budget, const AllocTable& measured);
+void write_alloc_check(std::ostream& os, const AllocBudget& budget, const AllocTable& measured,
+                       const AllocCheck& check);
+
 }  // namespace acp::tracecli

@@ -38,6 +38,12 @@
 //       appends per-phase cost stacks from an --attribution-out artifact
 //       to the folded output.
 //
+//   acptrace allocs <budget.json> <metrics.json>
+//       Allocation gate: the acp.prof.allocs{scope} series of a
+//       --metrics-out snapshot from an ACPSTREAM_PROF_ALLOC build against
+//       a committed acp-alloc-budget/1 file. Every budgeted scope must show
+//       exactly its calls and at most its allocations; exit 1 otherwise.
+//
 // Exit codes: 0 ok, 1 violations/regressions/no-match found, 2 usage or
 // I/O error, 3 baseline missing/unparseable (diff only — lets CI
 // distinguish "perf regressed" from "no baseline to compare against").
@@ -70,6 +76,7 @@ int usage() {
                "       acptrace explain <trace.jsonl> (--req=N | --session=N) [--run=N]\n"
                "       acptrace export <trace.jsonl> [--chrome=OUT.json] [--folded=OUT]\n"
                "           [--attribution=ATTR.jsonl]\n"
+               "       acptrace allocs <budget.json> <metrics.json>\n"
                "exit codes: 0 ok; 1 violations, regressions, or no matching request;\n"
                "            2 usage or I/O error; 3 baseline missing/unparseable (diff)\n");
   return 2;
@@ -193,6 +200,15 @@ int cmd_export(const std::vector<std::string>& paths, util::Flags& flags) {
   return 0;
 }
 
+int cmd_allocs(const std::vector<std::string>& paths) {
+  if (paths.size() != 2) return usage();
+  const auto budget = tracecli::load_alloc_budget_file(paths[0]);
+  const auto measured = tracecli::load_alloc_metrics_file(paths[1]);
+  const auto check = tracecli::check_alloc_budget(budget.scopes, measured);
+  tracecli::write_alloc_check(std::cout, budget, measured, check);
+  return check.ok() ? 0 : 1;
+}
+
 int cmd_timeline(const std::vector<std::string>& paths, util::Flags& flags) {
   if (paths.size() != 1) return usage();
   const auto data = tracecli::load_timeline_file(paths[0]);
@@ -220,6 +236,7 @@ int main(int argc, char** argv) {
     if (cmd == "timeline") return cmd_timeline(paths, flags);
     if (cmd == "explain") return cmd_explain(paths, flags);
     if (cmd == "export") return cmd_export(paths, flags);
+    if (cmd == "allocs") return cmd_allocs(paths);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "acptrace: %s\n", e.what());
