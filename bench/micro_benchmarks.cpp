@@ -419,12 +419,20 @@ struct TorusPools {
 
 constexpr double kMicroDemandKbps = 100.0;
 
-// StreamSystem::cancel_request of one composed request's transient holds —
-// the direct probe perfbench times. Only the cancel is timed.
+// StreamSystem::cancel_request of one request's transient holds — the
+// direct probe perfbench times. Only the cancel is timed. The holds are one
+// composed request's footprint (five node pools, four short disjoint
+// virtual links) plus, when the third argument k > 0, k overlapping walks
+// from one host under one tag, as a probe's hops make them: the walks share
+// their first links, so most of each one refreshes a hold another walk
+// already took.
 void BM_CancelRequest(benchmark::State& state) {
   TorusPools& w = TorusPools::instance(state.range(0), state.range(1));
+  const auto walks = static_cast<std::uint32_t>(state.range(2));
   stream::StreamSystem& sys = *w.sys;
   const stream::ResourceVector demand(1.0, 4.0);
+  const std::uint32_t rows = w.mesh->torus_rows();
+  const std::uint32_t cols = w.mesh->torus_cols();
   stream::RequestId request = 0;
   for (auto _ : state) {
     ++request;
@@ -437,6 +445,13 @@ void BM_CancelRequest(benchmark::State& state) {
       sys.reserve_virtual_link_transient(request, tag++, hosts[i], hosts[i + 1], kMicroDemandKbps,
                                          0.0, 60.0);
     }
+    const stream::NodeId from = hosts[0];
+    for (std::uint32_t i = 0; i < walks; ++i) {
+      const std::uint32_t r = (from / cols + 8 + 2 * (i % 4)) % rows;
+      const std::uint32_t c = (from % cols + 6 + 3 * (i / 4)) % cols;
+      sys.reserve_virtual_link_transient(request, tag, from, r * cols + c, kMicroDemandKbps, 0.0,
+                                         60.0);
+    }
     const auto t0 = std::chrono::steady_clock::now();
     sys.cancel_request(request);
     benchmark::ClobberMemory();
@@ -444,30 +459,59 @@ void BM_CancelRequest(benchmark::State& state) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
 }
-BENCHMARK(BM_CancelRequest)->Args({16, 20})->Args({64, 80})->Args({200, 256})->UseManualTime();
+BENCHMARK(BM_CancelRequest)
+    ->Args({16, 20, 0})
+    ->Args({64, 80, 0})
+    ->Args({200, 256, 0})
+    ->Args({64, 80, 8})
+    ->Args({64, 80, 32})
+    ->UseManualTime();
 
 // StreamSystem::release_session of one composed request's direct commits.
-// Only the release is timed.
+// Only the release is timed. With a third argument B > 0 the pools already
+// carry B other live sessions over the same footprint, one commit each per
+// pool, as a loaded world does (~27 commits per link pool on xl_serial);
+// they are committed before the loop and released after it.
 void BM_ReleaseSession(benchmark::State& state) {
   TorusPools& w = TorusPools::instance(state.range(0), state.range(1));
+  const auto background = static_cast<std::uint64_t>(state.range(2));
   stream::StreamSystem& sys = *w.sys;
   const stream::ResourceVector demand(1.0, 4.0);
-  stream::SessionId session = 0;
-  for (auto _ : state) {
-    ++session;
-    const auto hosts = w.hosts(session);
+  const auto commit = [&](stream::SessionId session, const std::array<stream::NodeId, 5>& hosts) {
     for (const stream::NodeId n : hosts) sys.commit_node_direct(session, n, demand, 0.0);
     for (std::size_t i = 0; i + 1 < hosts.size(); ++i) {
       sys.commit_virtual_link_direct(session, hosts[i], hosts[i + 1], kMicroDemandKbps, 0.0);
     }
+  };
+  // The measured sessions cycle over this many footprints; only they carry
+  // the background.
+  constexpr std::uint64_t kFootprints = 64;
+  constexpr stream::SessionId kBackground = 1'000'000'000;
+  for (std::uint64_t f = 0; f < kFootprints && background > 0; ++f) {
+    for (std::uint64_t b = 0; b < background; ++b) {
+      commit(kBackground + f * background + b, w.hosts(f + 1));
+    }
+  }
+  stream::SessionId session = 0;
+  for (auto _ : state) {
+    ++session;
+    commit(session, w.hosts(background > 0 ? 1 + session % kFootprints : session));
     const auto t0 = std::chrono::steady_clock::now();
     sys.release_session(session);
     benchmark::ClobberMemory();
     state.SetIterationTime(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
   }
+  for (std::uint64_t s = 0; s < kFootprints * background; ++s) {
+    sys.release_session(kBackground + s);
+  }
 }
-BENCHMARK(BM_ReleaseSession)->Args({16, 20})->Args({64, 80})->Args({200, 256})->UseManualTime();
+BENCHMARK(BM_ReleaseSession)
+    ->Args({16, 20, 0})
+    ->Args({64, 80, 0})
+    ->Args({200, 256, 0})
+    ->Args({64, 80, 27})
+    ->UseManualTime();
 
 // ---- Engine hold model -------------------------------------------------------
 //

@@ -31,46 +31,47 @@ double congestion_terms(const ResourceVector& req, const ResourceVector& residua
 }
 
 template <typename Q>
-bool ReservationPool<Q>::reserve_transient(RequestId request, std::uint32_t tag, const Q& amount,
-                                           double now, double expires_at) {
+Reserved ReservationPool<Q>::reserve_transient(RequestId request, std::uint32_t tag,
+                                               const Q& amount, double now, double expires_at) {
   ACP_REQUIRE(expires_at > now);
   // Refresh an existing live reservation for the same (request, tag).
   for (auto& r : transients_) {
     if (r.request == request && r.tag == tag && r.expires_at > now) {
       r.expires_at = expires_at;
-      return true;
+      return {true, false};
     }
   }
-  if (!pool_fits(amount, available(now))) return false;
+  if (!pool_fits(amount, available(now))) return {};
   transients_.push_back(Transient{request, tag, amount, expires_at, now});
-  return true;
+  return {true, true};
 }
 
 template <typename Q>
-void ReservationPool<Q>::force_reserve_transient(RequestId request, std::uint32_t tag,
+bool ReservationPool<Q>::force_reserve_transient(RequestId request, std::uint32_t tag,
                                                  const Q& amount, double now, double expires_at) {
   ACP_REQUIRE(expires_at > now);
   for (auto& r : transients_) {
     if (r.request == request && r.tag == tag && r.expires_at > now) {
       r.expires_at = expires_at;
-      return;
+      return false;
     }
   }
   transients_.push_back(Transient{request, tag, amount, expires_at, now});
+  return true;
 }
 
 template <typename Q>
-bool ReservationPool<Q>::confirm(RequestId request, std::uint32_t tag, SessionId session,
-                                 double now) {
+std::optional<Q> ReservationPool<Q>::confirm(RequestId request, std::uint32_t tag, double now) {
   for (auto it = transients_.begin(); it != transients_.end(); ++it) {
     if (it->request == request && it->tag == tag && it->expires_at > now) {
-      committed_ += it->amount;
-      commits_.push_back(Commit{session, it->amount});
+      const Q amount = it->amount;
+      committed_ += amount;
+      ++commit_count_;
       transients_.erase(it);
-      return true;
+      return amount;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 template <typename Q>
@@ -89,35 +90,18 @@ void ReservationPool<Q>::cancel_request_tag(RequestId request, std::uint32_t tag
 }
 
 template <typename Q>
-bool ReservationPool<Q>::release_session_one(SessionId session, const Q& amount) {
-  for (auto it = commits_.begin(); it != commits_.end(); ++it) {
-    if (it->session == session && it->amount == amount) {
-      committed_ -= it->amount;
-      commits_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
-template <typename Q>
-bool ReservationPool<Q>::commit_direct(SessionId session, const Q& amount, double now) {
+bool ReservationPool<Q>::commit(const Q& amount, double now) {
   if (!pool_fits(amount, available(now))) return false;
   committed_ += amount;
-  commits_.push_back(Commit{session, amount});
+  ++commit_count_;
   return true;
 }
 
 template <typename Q>
-void ReservationPool<Q>::release_session(SessionId session) {
-  for (auto it = commits_.begin(); it != commits_.end();) {
-    if (it->session == session) {
-      committed_ -= it->amount;
-      it = commits_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+void ReservationPool<Q>::release(const Q& amount) {
+  ACP_REQUIRE_MSG(commit_count_ > 0, "release without a committed allocation");
+  committed_ -= amount;
+  --commit_count_;
 }
 
 template <typename Q>

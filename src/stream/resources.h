@@ -4,11 +4,15 @@
 // memory, ...) and each virtual link with available bandwidth. Composition
 // subtracts per-component requirements; "transient resource allocation"
 // (Sec. 3.3 step 2) holds resources for in-flight probes and expires on a
-// timeout unless confirmed.
+// timeout unless confirmed. A pool keeps its transient records, but of its
+// commits only their sum and count: the confirming session's (pool,
+// amount) records live in StreamSystem, which returns each amount through
+// release() in the order it was committed.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,9 +109,20 @@ inline ResourceVector pool_scale(const ResourceVector& q, double factor) {
 }
 inline double pool_scale(double q, double factor) { return q * factor; }
 
+/// What reserve_transient did: whether (request, tag) holds afterwards, and
+/// whether that took a new record (false when it refreshed a live one).
+struct Reserved {
+  bool ok = false;
+  bool created = false;
+  explicit operator bool() const { return ok; }
+};
+
 /// A reservation pool over an additive quantity Q (ResourceVector for nodes,
-/// double for link bandwidth). Tracks committed allocations per session and
-/// transient (probe-time) reservations that expire unless confirmed.
+/// double for link bandwidth). Tracks transient (probe-time) reservations
+/// that expire unless confirmed, and the sum and count of committed
+/// allocations. Who owns a commit is not the pool's business: StreamSystem
+/// keeps each session's (pool, amount) records and hands the amounts back
+/// through release().
 template <typename Q>
 class ReservationPool {
  public:
@@ -153,26 +168,27 @@ class ReservationPool {
   /// Places a transient reservation tagged (request, tag). At most one live
   /// reservation per (request, tag) is kept (paper footnote 7: a node
   /// reserves once per component per request); a duplicate refreshes the
-  /// expiry instead of double-reserving. Returns false (no change) if the
-  /// amount does not fit in available(now).
-  bool reserve_transient(RequestId request, std::uint32_t tag, const Q& amount, double now,
-                         double expires_at);
+  /// expiry instead of double-reserving. Not ok (no change) if the amount
+  /// does not fit in available(now).
+  Reserved reserve_transient(RequestId request, std::uint32_t tag, const Q& amount, double now,
+                             double expires_at);
 
   /// reserve_transient without the fit check: always places (or refreshes)
-  /// the reservation. The sharded engine's barrier uses this to apply
-  /// claims admitted by shard workers against window-frozen pool state —
-  /// the admission decision already happened (deterministically, against
-  /// the same frozen view for every shard count), so the apply must not
-  /// second-guess it. Transients never underflow the pool: a transient
-  /// over-subscription only shrinks available(), which self-limits the
-  /// next window's admissions exactly like a serial burst of reservations.
-  void force_reserve_transient(RequestId request, std::uint32_t tag, const Q& amount, double now,
+  /// the reservation; true when it took a new record. The sharded engine's
+  /// barrier uses this to apply claims admitted by shard workers against
+  /// window-frozen pool state — the admission decision already happened
+  /// (deterministically, against the same frozen view for every shard
+  /// count), so the apply must not second-guess it. Transients never
+  /// underflow the pool: a transient over-subscription only shrinks
+  /// available(), which self-limits the next window's admissions exactly
+  /// like a serial burst of reservations.
+  bool force_reserve_transient(RequestId request, std::uint32_t tag, const Q& amount, double now,
                                double expires_at);
 
-  /// Converts the (request, tag) transient into a committed allocation owned
-  /// by `session`. Returns false if the transient expired or never existed —
-  /// in which case the caller must re-admit from scratch.
-  bool confirm(RequestId request, std::uint32_t tag, SessionId session, double now);
+  /// Moves the live (request, tag) transient into the committed total and
+  /// returns its amount; nullopt if it expired or never existed — in which
+  /// case the caller must re-admit from scratch.
+  std::optional<Q> confirm(RequestId request, std::uint32_t tag, double now);
 
   /// Drops all transient reservations of `request` (probe failed/abandoned).
   void cancel_request(RequestId request);
@@ -181,17 +197,12 @@ class ReservationPool {
   /// multi-link reservation without disturbing the request's other tags.
   void cancel_request_tag(RequestId request, std::uint32_t tag);
 
-  /// Commits `amount` directly for `session` without a prior transient
-  /// (used by composers that do not probe). Returns false if it doesn't fit.
-  bool commit_direct(SessionId session, const Q& amount, double now);
+  /// Commits `amount` directly, without a prior transient. False (no
+  /// change) if it does not fit in available(now).
+  bool commit(const Q& amount, double now);
 
-  /// Releases every allocation owned by `session` (session teardown).
-  void release_session(SessionId session);
-
-  /// Releases one commit record of `session` whose amount equals `amount`
-  /// exactly (rollback of a partial direct commit). Returns false if no
-  /// matching record exists.
-  bool release_session_one(SessionId session, const Q& amount);
+  /// Returns one committed `amount` (a confirm's or a commit's) to the pool.
+  void release(const Q& amount);
 
   /// Removes expired transient records; available() is correct without this,
   /// it only reclaims memory. Returns the number pruned.
@@ -209,7 +220,8 @@ class ReservationPool {
   std::size_t cancel_transients_older_than(double age_s, double now);
 
   std::size_t live_transient_count(double now) const;
-  std::size_t committed_count() const { return commits_.size(); }
+  /// Committed allocations not yet released.
+  std::size_t committed_count() const { return commit_count_; }
 
   /// True while any transient record of `request` remains, live or expired.
   bool holds_transients_of(RequestId request) const;
@@ -222,18 +234,14 @@ class ReservationPool {
     double expires_at;
     double created_at;
   };
-  struct Commit {
-    SessionId session;
-    Q amount;
-  };
 
   Q effective_capacity() const { return pool_scale(capacity_, capacity_factor_); }
 
   Q capacity_;
   Q committed_;
+  std::size_t commit_count_ = 0;
   double capacity_factor_ = 1.0;
   std::vector<Transient> transients_;
-  std::vector<Commit> commits_;
 };
 
 extern template class ReservationPool<ResourceVector>;

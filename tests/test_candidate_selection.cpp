@@ -116,7 +116,7 @@ TEST_F(SelectionFixture, FilterRejectsBandwidthShortage) {
   ctx.edge_bw_kbps = 100.0;
   for (auto l : mesh->virtual_link_path(0, 1)) {
     const double cap = sys->link_pool(l).capacity();
-    ASSERT_TRUE(sys->link_pool(l).commit_direct(9, cap - 50.0, 0.0));
+    ASSERT_TRUE(sys->link_pool(l).commit(cap - 50.0, 0.0));
   }
   const auto q = filter_qualified(ctx, sys->true_state(), cands);
   for (auto c : q) EXPECT_NE(c, cands[0]);
@@ -291,8 +291,7 @@ struct PassWorld : ::testing::Test {
     }
     for (net::OverlayLinkIndex l = session % 2; l < mesh->link_count(); l += 2) {
       const double f = wrng.uniform(0.0, 0.999);
-      ASSERT_TRUE(sys->link_pool(l).commit_direct(session, f * sys->link_pool(l).available(0.0),
-                                                  0.0));
+      ASSERT_TRUE(sys->link_pool(l).commit(f * sys->link_pool(l).available(0.0), 0.0));
     }
   }
 

@@ -182,8 +182,8 @@ void run_sequence(std::uint64_t seed, Tally& tally) {
   for (std::size_t i = 0; i < mesh.link_count() / 2; ++i) load_link();
   for (NodeId n = 0; n < sys->node_count(); ++n) {
     if (rng.below(2) == 0) {
-      sys->node_pool(n).commit_direct(
-          1000 + n, ResourceVector(rng.uniform(10.0, 50.0), rng.uniform(100.0, 500.0)), 0.0);
+      sys->node_pool(n).commit(
+          ResourceVector(rng.uniform(10.0, 50.0), rng.uniform(100.0, 500.0)), 0.0);
     }
   }
 

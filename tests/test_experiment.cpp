@@ -322,8 +322,8 @@ std::size_t check_conservation(const SystemConfig& sys_cfg, bool faults,
     EXPECT_EQ(pool.committed_count(), 0u) << "link " << l;
     EXPECT_NEAR(pool.available(now), pool.capacity(), 1e-9) << "link " << l;
   }
-  EXPECT_EQ(sys.request_footprint_count(), 0u);
-  EXPECT_EQ(sys.session_footprint_count(), 0u);
+  EXPECT_EQ(sys.held_request_count(), 0u);
+  EXPECT_EQ(sys.committed_session_count(), 0u);
   EXPECT_EQ(protocol.parked_probes(), 0u);
   return parked_at_deadline;
 }

@@ -1,14 +1,22 @@
-// Differential test of StreamSystem's footprint-indexed cancel_request and
-// release_session against the full sweep they replaced: a loop over every
-// node pool and every link pool, kept here as the reference. Seeded random
-// operation sequences — reserves (with refreshes and all-or-nothing
+// Differential test of StreamSystem's hold lists and session commit lists
+// against the references they replaced. cancel_request's reference is the
+// full sweep: a loop over every node pool and every link pool. The release
+// reference is a test-local model of the per-pool commit lists pools kept
+// before sessions owned their records: (session, amount) per pool in
+// commit order, released by scanning every pool's list in order. Seeded
+// random operation sequences — reserves (with refreshes and all-or-nothing
 // rollbacks), forced reserves, confirms (with partial virtual-link
 // failures), direct commits (with rollbacks), targeted releases, cancels,
 // releases, crash and age reclamation and expiry pruning — run on two
 // systems over one mesh. After every step every pool must read
-// bit-identically on both.
+// bit-identically on both; each pool's commit count must equal the live
+// session records naming it (plus the rig's background load); each
+// session's records on a pool must list the model's amounts in the model's
+// order; and every pool holding a request's record must be on the
+// request's hold list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,7 +28,7 @@
 namespace acp::stream {
 namespace {
 
-// ---- Reference: the full sweep ---------------------------------------------
+// ---- Reference: the full sweep and per-pool commit lists --------------------
 
 void sweep_cancel(StreamSystem& sys, RequestId request) {
   for (NodeId n = 0; n < sys.node_count(); ++n) sys.node_pool(n).cancel_request(request);
@@ -29,10 +37,116 @@ void sweep_cancel(StreamSystem& sys, RequestId request) {
   }
 }
 
-void sweep_release(StreamSystem& sys, SessionId session) {
-  for (NodeId n = 0; n < sys.node_count(); ++n) sys.node_pool(n).release_session(session);
+template <typename Q>
+struct CommitRecord {
+  SessionId session;
+  Q amount;
+};
+template <typename Q>
+using CommitList = std::vector<CommitRecord<Q>>;
+
+/// The reference system's commits, kept per pool as pools once kept them.
+/// The reference confirms, commits and releases on its pools directly and
+/// records each commit here, so its own commit lists stay empty.
+struct Ledger {
+  std::vector<CommitList<ResourceVector>> nodes;
+  std::vector<CommitList<double>> links;
+};
+
+/// Releases `session`'s first record of exactly `amount` on one pool.
+template <typename Q>
+bool release_one(CommitList<Q>& list, ReservationPool<Q>& pool, SessionId session,
+                 const Q& amount) {
+  for (auto it = list.begin(); it != list.end(); ++it) {
+    if (it->session == session && it->amount == amount) {
+      pool.release(it->amount);
+      list.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Releases every record of `session` on one pool, in the list's order.
+template <typename Q>
+void release_all(CommitList<Q>& list, ReservationPool<Q>& pool, SessionId session) {
+  for (auto it = list.begin(); it != list.end();) {
+    if (it->session == session) {
+      pool.release(it->amount);
+      it = list.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool ref_confirm_node(StreamSystem& sys, Ledger& ledger, RequestId request, std::uint32_t tag,
+                      NodeId node, SessionId session, double now) {
+  const auto amount = sys.node_pool(node).confirm(request, tag, now);
+  if (!amount) return false;
+  ledger.nodes[node].push_back({session, *amount});
+  return true;
+}
+
+bool ref_confirm_virtual_link(StreamSystem& sys, Ledger& ledger, RequestId request,
+                              std::uint32_t tag, NodeId a, NodeId b, SessionId session,
+                              double now) {
+  if (a == b) return true;
+  bool ok = true;
+  sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    if (!ok) return;
+    const auto kbps = sys.link_pool(l).confirm(request, tag, now);
+    if (!kbps) {
+      ok = false;
+      return;
+    }
+    ledger.links[l].push_back({session, *kbps});
+  });
+  return ok;
+}
+
+bool ref_commit_node_direct(StreamSystem& sys, Ledger& ledger, SessionId session, NodeId node,
+                            const ResourceVector& amount, double now) {
+  if (!sys.node_pool(node).commit(amount, now)) return false;
+  ledger.nodes[node].push_back({session, amount});
+  return true;
+}
+
+bool ref_commit_virtual_link_direct(StreamSystem& sys, Ledger& ledger, SessionId session,
+                                    NodeId a, NodeId b, double kbps, double now) {
+  if (a == b) return true;
+  std::vector<net::OverlayLinkIndex> admitted;
+  bool ok = true;
+  sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    if (!ok || !sys.link_pool(l).commit(kbps, now)) {
+      ok = false;
+      return;
+    }
+    ledger.links[l].push_back({session, kbps});
+    admitted.push_back(l);
+  });
+  if (!ok) {
+    for (const auto l : admitted) release_one(ledger.links[l], sys.link_pool(l), session, kbps);
+  }
+  return ok;
+}
+
+bool ref_release_virtual_link_direct(StreamSystem& sys, Ledger& ledger, SessionId session,
+                                     NodeId a, NodeId b, double kbps) {
+  if (a == b) return true;
+  bool all = true;
+  sys.mesh().for_each_virtual_link(a, b, [&](net::OverlayLinkIndex l) {
+    all = release_one(ledger.links[l], sys.link_pool(l), session, kbps) && all;
+  });
+  return all;
+}
+
+void ref_release_session(StreamSystem& sys, Ledger& ledger, SessionId session) {
+  for (NodeId n = 0; n < sys.node_count(); ++n) {
+    release_all(ledger.nodes[n], sys.node_pool(n), session);
+  }
   for (net::OverlayLinkIndex l = 0; l < sys.mesh().link_count(); ++l) {
-    sys.link_pool(l).release_session(session);
+    release_all(ledger.links[l], sys.link_pool(l), session);
   }
 }
 
@@ -45,30 +159,36 @@ constexpr std::uint32_t kTags = 3;
 struct Rig {
   net::Graph ip;
   std::unique_ptr<net::OverlayMesh> mesh;
-  std::unique_ptr<StreamSystem> fast;  ///< footprint-indexed cancel/release
-  std::unique_ptr<StreamSystem> ref;   ///< cancel/release by full sweep
+  std::unique_ptr<StreamSystem> fast;  ///< hold lists and session commit lists
+  std::unique_ptr<StreamSystem> ref;   ///< full-sweep cancel, per-pool commit lists
+  Ledger ledger;                       ///< ref's per-pool commit lists
+  std::vector<std::size_t> background;  ///< commits per link outside any session
   double min_link_kbps = std::numeric_limits<double>::infinity();
 };
 
-std::unique_ptr<StreamSystem> make_system(const net::OverlayMesh& mesh, std::uint64_t seed) {
+/// Background load, placed on the pools directly: no session owns it, so
+/// no operation below can release it.
+std::unique_ptr<StreamSystem> make_system(const net::OverlayMesh& mesh, std::uint64_t seed,
+                                          std::vector<std::size_t>& background) {
   util::Rng rng(seed);
   auto sys = std::make_unique<StreamSystem>(mesh, FunctionCatalog::generate(4, rng));
   for (NodeId n = 0; n < sys->node_count(); ++n) {
     sys->set_node_capacity(n, ResourceVector(rng.uniform(80.0, 120.0), rng.uniform(800.0, 1200.0)));
   }
-  // Background load in sessions 1000+, which no operation below releases,
-  // so placing it on the pools directly leaves no footprint to miss.
+  background.assign(mesh.link_count(), 0);
   for (net::OverlayLinkIndex l = 0; l < mesh.link_count(); ++l) {
     if (rng.below(3) != 0) continue;
     const double kbps = rng.uniform(0.0, 0.6) * mesh.link(l).capacity_kbps;
-    sys->link_pool(l).commit_direct(1000 + l, kbps, 0.0);
+    background[l] += sys->link_pool(l).commit(kbps, 0.0) ? 1 : 0;
   }
   return sys;
 }
 
 void finish(Rig& r, std::uint64_t seed) {
-  r.fast = make_system(*r.mesh, seed);
-  r.ref = make_system(*r.mesh, seed);
+  r.fast = make_system(*r.mesh, seed, r.background);
+  r.ref = make_system(*r.mesh, seed, r.background);
+  r.ledger.nodes.assign(r.ref->node_count(), {});
+  r.ledger.links.assign(r.mesh->link_count(), {});
   for (net::OverlayLinkIndex l = 0; l < r.mesh->link_count(); ++l) {
     r.min_link_kbps = std::min(r.min_link_kbps, r.mesh->link(l).capacity_kbps);
   }
@@ -146,6 +266,67 @@ void expect_same_pools(const StreamSystem& fast, const StreamSystem& ref, double
   }
 }
 
+/// The fast system's lists against the pools and the reference model:
+/// each pool's commit count is the live session records naming it plus the
+/// background load; each session's records on a pool carry the model's
+/// amounts in the model's order; every pool holding a request's record is
+/// on that request's hold list.
+void expect_lists_consistent(const Rig& rig, const std::string& where) {
+  const StreamSystem& fast = *rig.fast;
+  std::vector<std::size_t> node_records(fast.node_count(), 0);
+  std::vector<std::size_t> link_records(rig.background);
+  for (SessionId s = 1; s <= kSessions; ++s) {
+    std::vector<std::vector<ResourceVector>> node_amounts(fast.node_count());
+    std::vector<std::vector<double>> link_amounts(fast.mesh().link_count());
+    for (const auto& c : fast.node_commits(s)) {
+      ++node_records[c.node];
+      node_amounts[c.node].push_back(c.amount);
+    }
+    for (const auto& c : fast.link_commits(s)) {
+      ++link_records[c.link];
+      link_amounts[c.link].push_back(c.kbps);
+    }
+    for (NodeId n = 0; n < fast.node_count(); ++n) {
+      std::vector<ResourceVector> model;
+      for (const auto& r : rig.ledger.nodes[n]) {
+        if (r.session == s) model.push_back(r.amount);
+      }
+      EXPECT_EQ(node_amounts[n], model) << where << " session " << s << " node " << n;
+    }
+    for (net::OverlayLinkIndex l = 0; l < fast.mesh().link_count(); ++l) {
+      std::vector<double> model;
+      for (const auto& r : rig.ledger.links[l]) {
+        if (r.session == s) model.push_back(r.amount);
+      }
+      EXPECT_EQ(link_amounts[l], model) << where << " session " << s << " link " << l;
+    }
+  }
+  for (NodeId n = 0; n < fast.node_count(); ++n) {
+    EXPECT_EQ(fast.node_pool(n).committed_count(), node_records[n]) << where << " node " << n;
+  }
+  for (net::OverlayLinkIndex l = 0; l < fast.mesh().link_count(); ++l) {
+    EXPECT_EQ(fast.link_pool(l).committed_count(), link_records[l]) << where << " link " << l;
+  }
+
+  for (RequestId r = 1; r <= kRequests; ++r) {
+    const auto holds = fast.hold_list(r);
+    const auto listed = [&](StreamSystem::PoolRef p) {
+      return std::find(holds.begin(), holds.end(), p) != holds.end();
+    };
+    for (NodeId n = 0; n < fast.node_count(); ++n) {
+      if (fast.node_pool(n).holds_transients_of(r)) {
+        EXPECT_TRUE(listed(n)) << where << " request " << r << " node " << n;
+      }
+    }
+    for (net::OverlayLinkIndex l = 0; l < fast.mesh().link_count(); ++l) {
+      if (fast.link_pool(l).holds_transients_of(r)) {
+        EXPECT_TRUE(listed(l | StreamSystem::kLinkPool))
+            << where << " request " << r << " link " << l;
+      }
+    }
+  }
+}
+
 struct NodeHold {
   RequestId request;
   std::uint32_t tag;
@@ -192,6 +373,7 @@ bool first_link_fits(const StreamSystem& sys, NodeId a, NodeId b, double kbps, d
 void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
   StreamSystem& fast = *rig.fast;
   StreamSystem& ref = *rig.ref;
+  Ledger& ledger = rig.ledger;
   util::Rng rng(seed * 7919 + 17);
   // Endpoints come from a few hot nodes half the time, so holds, commits
   // and virtual-link paths overlap.
@@ -285,7 +467,7 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
         if (rng.bernoulli(0.5) && !node_holds.empty()) {
           const NodeHold h = node_holds[rng.below(node_holds.size())];
           const bool ok = fast.confirm_node(h.request, h.tag, h.node, s, now);
-          EXPECT_EQ(ok, ref.confirm_node(h.request, h.tag, h.node, s, now)) << where;
+          EXPECT_EQ(ok, ref_confirm_node(ref, ledger, h.request, h.tag, h.node, s, now)) << where;
           tally.confirms += ok ? 1 : 0;
         } else if (!link_holds.empty()) {
           LinkHold h = link_holds[rng.below(link_holds.size())];
@@ -295,7 +477,8 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
           if (h.a == h.b) break;
           const std::size_t before = committed_on_path(fast, h.a, h.b);
           const bool ok = fast.confirm_virtual_link(h.request, h.tag, h.a, h.b, s, now);
-          EXPECT_EQ(ok, ref.confirm_virtual_link(h.request, h.tag, h.a, h.b, s, now)) << where;
+          EXPECT_EQ(ok, ref_confirm_virtual_link(ref, ledger, h.request, h.tag, h.a, h.b, s, now))
+              << where;
           tally.confirms += ok ? 1 : 0;
           if (!ok && committed_on_path(fast, h.a, h.b) > before) ++tally.partial_confirms;
         }
@@ -307,7 +490,8 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
         if (rng.bernoulli(0.5)) {
           const NodeCommit c{s, pick_node(), demand()};
           const bool ok = fast.commit_node_direct(c.session, c.node, c.amount, now);
-          EXPECT_EQ(ok, ref.commit_node_direct(c.session, c.node, c.amount, now)) << where;
+          EXPECT_EQ(ok, ref_commit_node_direct(ref, ledger, c.session, c.node, c.amount, now))
+              << where;
           if (ok) node_commits.push_back(c);
           tally.direct_commits += ok ? 1 : 0;
         } else {
@@ -315,7 +499,9 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
           pick_pair(c.a, c.b);
           const bool fits = first_link_fits(fast, c.a, c.b, c.kbps, now);
           const bool ok = fast.commit_virtual_link_direct(c.session, c.a, c.b, c.kbps, now);
-          EXPECT_EQ(ok, ref.commit_virtual_link_direct(c.session, c.a, c.b, c.kbps, now)) << where;
+          EXPECT_EQ(ok, ref_commit_virtual_link_direct(ref, ledger, c.session, c.a, c.b, c.kbps,
+                                                       now))
+              << where;
           if (ok) link_commits.push_back(c);
           tally.direct_commits += ok ? 1 : 0;
           if (!ok && fits) ++tally.direct_rollbacks;
@@ -325,13 +511,16 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
       case 9: {  // session repair's targeted releases
         if (rng.bernoulli(0.5) && !node_commits.empty()) {
           const NodeCommit c = node_commits[rng.below(node_commits.size())];
-          const bool ok = fast.node_pool(c.node).release_session_one(c.session, c.amount);
-          EXPECT_EQ(ok, ref.node_pool(c.node).release_session_one(c.session, c.amount)) << where;
+          const bool ok = fast.release_node_direct(c.session, c.node, c.amount);
+          EXPECT_EQ(ok, release_one(ledger.nodes[c.node], ref.node_pool(c.node), c.session,
+                                    c.amount))
+              << where;
           tally.targeted_releases += ok ? 1 : 0;
         } else if (!link_commits.empty()) {
           const LinkCommit c = link_commits[rng.below(link_commits.size())];
           const bool ok = fast.release_virtual_link_direct(c.session, c.a, c.b, c.kbps);
-          EXPECT_EQ(ok, ref.release_virtual_link_direct(c.session, c.a, c.b, c.kbps)) << where;
+          EXPECT_EQ(ok, ref_release_virtual_link_direct(ref, ledger, c.session, c.a, c.b, c.kbps))
+              << where;
           tally.targeted_releases += ok ? 1 : 0;
         }
         break;
@@ -347,7 +536,7 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
       case 12: {
         const SessionId s = session();
         fast.release_session(s);
-        sweep_release(ref, s);
+        ref_release_session(ref, ledger, s);
         ++tally.releases;
         break;
       }
@@ -373,6 +562,7 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
     }
     if (rng.bernoulli(0.3)) now += rng.uniform(0.0, 2.0);
     expect_same_pools(fast, ref, now, where);
+    expect_lists_consistent(rig, where);
     if (::testing::Test::HasFailure()) return;
   }
 
@@ -384,11 +574,13 @@ void run_sequence(Rig& rig, std::uint64_t seed, Tally& tally) {
   }
   for (SessionId s = 1; s <= kSessions; ++s) {
     fast.release_session(s);
-    sweep_release(ref, s);
+    ref_release_session(ref, ledger, s);
   }
-  expect_same_pools(fast, ref, now, "seed " + std::to_string(seed) + " drained");
-  EXPECT_EQ(fast.request_footprint_count(), 0u);
-  EXPECT_EQ(fast.session_footprint_count(), 0u);
+  const std::string drained = "seed " + std::to_string(seed) + " drained";
+  expect_same_pools(fast, ref, now, drained);
+  expect_lists_consistent(rig, drained);
+  EXPECT_EQ(fast.held_request_count(), 0u);
+  EXPECT_EQ(fast.committed_session_count(), 0u);
 }
 
 void expect_covered(const Tally& t) {
@@ -427,30 +619,30 @@ TEST(PoolFootprintDifferential, MatchesFullSweepOnTorus) {
   expect_covered(tally);
 }
 
-/// Holds nobody cancels — leaked, or emptied by crash reclamation — leave
-/// the index at the next world-wide sweep that finds them gone.
+/// Hold lists nobody cancels — leaked, or emptied by crash reclamation —
+/// close at the next world-wide sweep that finds their pools empty.
 TEST(PoolFootprint, SweepsDropOrphanedRequestFootprints) {
   Rig rig = torus_rig(3);
   StreamSystem& sys = *rig.fast;
   ASSERT_TRUE(sys.reserve_node_transient(1, 0, 4, ResourceVector(1, 1), 0.0, 3600.0));
   ASSERT_TRUE(sys.reserve_node_transient(2, 0, 7, ResourceVector(1, 1), 0.0, 5.0));
   ASSERT_TRUE(sys.reserve_virtual_link_transient(3, 0, 0, 9, 10.0, 0.0, 3600.0));
-  EXPECT_EQ(sys.request_footprint_count(), 3u);
+  EXPECT_EQ(sys.held_request_count(), 3u);
 
-  // Request 2's hold expires; pruning drops the record and the footprint.
+  // Request 2's hold expires; pruning drops the record and the hold list.
   sys.prune_expired(6.0);
-  EXPECT_EQ(sys.request_footprint_count(), 2u);
+  EXPECT_EQ(sys.held_request_count(), 2u);
 
   // Crash reclamation empties node 4 but is not a world-wide sweep: the
-  // footprint over-lists until the next sweep.
+  // hold list over-lists until the next sweep.
   EXPECT_EQ(sys.reclaim_node_transients(4, 7.0), 1u);
-  EXPECT_EQ(sys.request_footprint_count(), 2u);
+  EXPECT_EQ(sys.held_request_count(), 2u);
   EXPECT_EQ(sys.reclaim_transients_older_than(100.0, 8.0), 0u);
-  EXPECT_EQ(sys.request_footprint_count(), 1u);
+  EXPECT_EQ(sys.held_request_count(), 1u);
 
-  // The age sweep reclaims request 3's hold and its footprint.
+  // The age sweep reclaims request 3's hold and its hold list.
   EXPECT_GT(sys.reclaim_transients_older_than(100.0, 200.0), 0u);
-  EXPECT_EQ(sys.request_footprint_count(), 0u);
+  EXPECT_EQ(sys.held_request_count(), 0u);
 }
 
 }  // namespace

@@ -84,19 +84,22 @@ TEST(NodePool, DuplicateTagRefreshesInsteadOfDoubleReserving) {
 TEST(NodePool, ConfirmConvertsTransientToCommitted) {
   NodePool pool(ResourceVector(10.0, 100.0));
   ASSERT_TRUE(pool.reserve_transient(1, 0, ResourceVector(4.0, 40.0), 0.0, 10.0));
-  ASSERT_TRUE(pool.confirm(1, 0, /*session=*/77, 5.0));
+  const auto amount = pool.confirm(1, 0, 5.0);
+  ASSERT_TRUE(amount);
+  EXPECT_EQ(*amount, ResourceVector(4.0, 40.0));  // what moved into the total
   // Committed allocations do not expire.
   EXPECT_DOUBLE_EQ(pool.available(100.0).cpu(), 6.0);
   EXPECT_EQ(pool.committed_count(), 1u);
-  pool.release_session(77);
+  pool.release(*amount);
   EXPECT_DOUBLE_EQ(pool.available(100.0).cpu(), 10.0);
+  EXPECT_EQ(pool.committed_count(), 0u);
 }
 
 TEST(NodePool, ConfirmFailsAfterExpiry) {
   NodePool pool(ResourceVector(10.0, 100.0));
   ASSERT_TRUE(pool.reserve_transient(1, 0, ResourceVector(4.0, 40.0), 0.0, 10.0));
-  EXPECT_FALSE(pool.confirm(1, 0, 77, 10.0));
-  EXPECT_FALSE(pool.confirm(9, 9, 77, 5.0));  // never existed
+  EXPECT_FALSE(pool.confirm(1, 0, 10.0));
+  EXPECT_FALSE(pool.confirm(9, 9, 5.0));  // never existed
 }
 
 TEST(NodePool, CancelRequestDropsAllItsTags) {
@@ -118,12 +121,30 @@ TEST(NodePool, CancelRequestTagIsNarrow) {
 
 TEST(NodePool, DirectCommitAndRollbackRelease) {
   NodePool pool(ResourceVector(10.0, 100.0));
-  ASSERT_TRUE(pool.commit_direct(5, ResourceVector(4.0, 20.0), 0.0));
-  ASSERT_TRUE(pool.commit_direct(5, ResourceVector(3.0, 20.0), 0.0));
-  EXPECT_FALSE(pool.commit_direct(6, ResourceVector(4.0, 20.0), 0.0));
-  EXPECT_TRUE(pool.release_session_one(5, ResourceVector(4.0, 20.0)));
-  EXPECT_FALSE(pool.release_session_one(5, ResourceVector(9.0, 9.0)));
+  ASSERT_TRUE(pool.commit(ResourceVector(4.0, 20.0), 0.0));
+  ASSERT_TRUE(pool.commit(ResourceVector(3.0, 20.0), 0.0));
+  EXPECT_FALSE(pool.commit(ResourceVector(4.0, 20.0), 0.0));
+  EXPECT_EQ(pool.committed_count(), 2u);
+  pool.release(ResourceVector(4.0, 20.0));
+  EXPECT_EQ(pool.committed_count(), 1u);
   EXPECT_DOUBLE_EQ(pool.available(0.0).cpu(), 7.0);
+  // Which records exist is the owner's to know (StreamSystem's commit
+  // lists); the pool only refuses a release it has no commit for.
+  pool.release(ResourceVector(3.0, 20.0));
+  EXPECT_THROW(pool.release(ResourceVector(9.0, 9.0)), acp::PreconditionError);
+}
+
+TEST(NodePool, RefreshTakesNoNewRecord) {
+  NodePool pool(ResourceVector(10.0, 100.0));
+  const Reserved first = pool.reserve_transient(1, 0, ResourceVector(1.0, 1.0), 0.0, 10.0);
+  EXPECT_TRUE(first.ok && first.created);
+  const Reserved again = pool.reserve_transient(1, 0, ResourceVector(1.0, 1.0), 1.0, 20.0);
+  EXPECT_TRUE(again.ok);
+  EXPECT_FALSE(again.created);
+  const Reserved rejected = pool.reserve_transient(2, 0, ResourceVector(99.0, 1.0), 1.0, 20.0);
+  EXPECT_FALSE(rejected.ok || rejected.created);
+  EXPECT_TRUE(pool.force_reserve_transient(3, 0, ResourceVector(1.0, 1.0), 1.0, 20.0));
+  EXPECT_FALSE(pool.force_reserve_transient(3, 0, ResourceVector(1.0, 1.0), 2.0, 30.0));
 }
 
 TEST(NodePool, PruneExpiredReclaimsRecords) {
@@ -139,9 +160,11 @@ TEST(BandwidthPool, ScalarSemantics) {
   ASSERT_TRUE(pool.reserve_transient(1, 0, 400.0, 0.0, 10.0));
   EXPECT_DOUBLE_EQ(pool.available(1.0), 600.0);
   EXPECT_FALSE(pool.reserve_transient(2, 0, 700.0, 1.0, 10.0));
-  ASSERT_TRUE(pool.confirm(1, 0, 9, 1.0));
+  const auto kbps = pool.confirm(1, 0, 1.0);
+  ASSERT_TRUE(kbps);
+  EXPECT_EQ(*kbps, 400.0);
   EXPECT_DOUBLE_EQ(pool.available(99.0), 600.0);
-  pool.release_session(9);
+  pool.release(*kbps);
   EXPECT_DOUBLE_EQ(pool.available(99.0), 1000.0);
 }
 

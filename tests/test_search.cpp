@@ -226,9 +226,7 @@ TEST_F(SearchFixture, ExhaustiveMatchesBruteForceOnSharedEdgeDag) {
     }
     for (net::OverlayLinkIndex l = 0; l < mesh->link_count(); ++l) {
       if (rng.below(3) != 0) continue;
-      sys->link_pool(l).commit_direct(7000 + 100 * round + l,
-                                      rng.uniform(0.1, 0.3) * sys->link_pool(l).available(0.0),
-                                      0.0);
+      sys->link_pool(l).commit(rng.uniform(0.1, 0.3) * sys->link_pool(l).available(0.0), 0.0);
     }
   }
 }
@@ -379,8 +377,7 @@ void check_oracle_instance(const net::OverlayMesh& mesh, util::Rng& rng, std::ui
   if (link_load) {
     for (net::OverlayLinkIndex l = 0; l < mesh.link_count(); ++l) {
       if (rng.below(4) != 0) continue;
-      sys.link_pool(l).commit_direct(1000 + l, rng.uniform(0.3, 0.95) * mesh.link(l).capacity_kbps,
-                                     0.0);
+      sys.link_pool(l).commit(rng.uniform(0.3, 0.95) * mesh.link(l).capacity_kbps, 0.0);
     }
   }
 
@@ -567,8 +564,7 @@ void check_join_instance(const net::OverlayMesh& mesh, util::Rng& rng, std::uint
   }
   for (net::OverlayLinkIndex l = 0; l < mesh.link_count(); ++l) {
     if (rng.below(3) != 0) continue;
-    sys.link_pool(l).commit_direct(5000 + l, rng.uniform(0.1, 0.7) * mesh.link(l).capacity_kbps,
-                                   0.0);
+    sys.link_pool(l).commit(rng.uniform(0.1, 0.7) * mesh.link(l).capacity_kbps, 0.0);
   }
   const auto shape = rng.below(3);  // 0 chain, 1 diamond, 2 shared edge
   const std::size_t interior = 1 + static_cast<std::size_t>(rng.below(2));

@@ -91,7 +91,7 @@ TEST_F(StateFixture, LinkUpdatesFlowThroughAggregationPublish) {
   mgr.start();
   const net::OverlayLinkIndex l = 0;
   const double cap = sys->link_pool(l).capacity();
-  ASSERT_TRUE(sys->link_pool(l).commit_direct(1, cap * 0.5, 0.0));
+  ASSERT_TRUE(sys->link_pool(l).commit(cap * 0.5, 0.0));
 
   mgr.run_check_sweep();
   // The owner reported to the aggregation node…
@@ -174,8 +174,7 @@ std::size_t asymmetric_pairs(const stream::StreamSystem& sys, const stream::Stat
 void load_links(stream::StreamSystem& sys, std::uint32_t phase) {
   for (net::OverlayLinkIndex l = phase; l < sys.mesh().link_count(); l += 3) {
     const double share = 0.15 + 0.7 * static_cast<double>((l * 37) % 101) / 100.0;
-    ASSERT_TRUE(
-        sys.link_pool(l).commit_direct(100 + phase, share * sys.link_pool(l).capacity(), 0.0));
+    ASSERT_TRUE(sys.link_pool(l).commit(share * sys.link_pool(l).capacity(), 0.0));
   }
 }
 
@@ -300,7 +299,7 @@ TEST_F(StateFixture, AdjacentLinksAreExactFromEitherEnd) {
   const net::OverlayLinkIndex l = 0;
   const auto& link = mesh->link(l);
   const double cap = sys->link_pool(l).capacity();
-  ASSERT_TRUE(sys->link_pool(l).commit_direct(1, cap * 0.3, 0.0));
+  ASSERT_TRUE(sys->link_pool(l).commit(cap * 0.3, 0.0));
   EXPECT_DOUBLE_EQ(mgr.view_from(link.a).link_available_kbps(l, 0.0), cap * 0.7);
   EXPECT_DOUBLE_EQ(mgr.view_from(link.b).link_available_kbps(l, 0.0), cap * 0.7);
 }

@@ -70,7 +70,7 @@ TEST_F(SystemFixture, VirtualLinkReservationIsAllOrNothing) {
   // Saturate the LAST link on the path so reservation must roll back.
   const auto last = path.back();
   const double cap = sys->link_pool(last).capacity();
-  ASSERT_TRUE(sys->link_pool(last).commit_direct(42, cap, 0.0));
+  ASSERT_TRUE(sys->link_pool(last).commit(cap, 0.0));
 
   EXPECT_FALSE(sys->reserve_virtual_link_transient(1, 0, a, b, 100.0, 0.0, 10.0));
   // Roll back must leave earlier links untouched.
@@ -120,13 +120,93 @@ TEST_F(SystemFixture, RequestScopedViewExcludesOwnTransients) {
   EXPECT_DOUBLE_EQ(sys->true_state().node_available(2, 1.0).cpu(), 60.0);
 }
 
+// ---- Session-keyed commits (StreamSystem owns each session's records) -----
+
+TEST_F(SystemFixture, ConfirmConvertsTransientIntoSession) {
+  sys->set_node_capacity(0, ResourceVector(10.0, 100.0));
+  ASSERT_TRUE(sys->reserve_node_transient(1, 0, 0, ResourceVector(4.0, 40.0), 0.0, 10.0));
+  ASSERT_TRUE(sys->confirm_node(1, 0, 0, /*session=*/77, 5.0));
+  // Committed allocations do not expire.
+  EXPECT_DOUBLE_EQ(sys->node_pool(0).available(100.0).cpu(), 6.0);
+  EXPECT_EQ(sys->node_pool(0).committed_count(), 1u);
+  ASSERT_EQ(sys->node_commits(77).size(), 1u);
+  EXPECT_EQ(sys->node_commits(77)[0].node, 0u);
+  EXPECT_EQ(sys->node_commits(77)[0].amount, ResourceVector(4.0, 40.0));
+  sys->release_session(77);
+  EXPECT_DOUBLE_EQ(sys->node_pool(0).available(100.0).cpu(), 10.0);
+  EXPECT_EQ(sys->node_pool(0).committed_count(), 0u);
+  EXPECT_EQ(sys->committed_session_count(), 0u);
+}
+
+TEST_F(SystemFixture, ConfirmIntoSessionFailsAfterExpiry) {
+  ASSERT_TRUE(sys->reserve_node_transient(1, 0, 0, ResourceVector(4.0, 40.0), 0.0, 10.0));
+  EXPECT_FALSE(sys->confirm_node(1, 0, 0, 77, 10.0));
+  EXPECT_FALSE(sys->confirm_node(9, 9, 0, 77, 5.0));  // never existed
+  EXPECT_TRUE(sys->node_commits(77).empty());
+  EXPECT_EQ(sys->committed_session_count(), 0u);
+}
+
+TEST_F(SystemFixture, DirectCommitAndTargetedRelease) {
+  sys->set_node_capacity(0, ResourceVector(10.0, 100.0));
+  ASSERT_TRUE(sys->commit_node_direct(5, 0, ResourceVector(4.0, 20.0), 0.0));
+  ASSERT_TRUE(sys->commit_node_direct(5, 0, ResourceVector(3.0, 20.0), 0.0));
+  EXPECT_FALSE(sys->commit_node_direct(6, 0, ResourceVector(4.0, 20.0), 0.0));
+  EXPECT_TRUE(sys->release_node_direct(5, 0, ResourceVector(4.0, 20.0)));
+  EXPECT_FALSE(sys->release_node_direct(5, 0, ResourceVector(9.0, 9.0)));
+  EXPECT_FALSE(sys->release_node_direct(6, 0, ResourceVector(3.0, 20.0)));  // not 6's
+  EXPECT_DOUBLE_EQ(sys->node_pool(0).available(0.0).cpu(), 7.0);
+  ASSERT_EQ(sys->node_commits(5).size(), 1u);
+  EXPECT_EQ(sys->node_commits(5)[0].amount, ResourceVector(3.0, 20.0));
+  sys->release_session(5);
+  EXPECT_DOUBLE_EQ(sys->node_pool(0).available(0.0).cpu(), 10.0);
+}
+
+TEST_F(SystemFixture, BandwidthConfirmIntoSessionAndRelease) {
+  const NodeId a = 0, b = 5;
+  const auto path = mesh->virtual_link_path(a, b);
+  ASSERT_FALSE(path.empty());
+  ASSERT_TRUE(sys->reserve_virtual_link_transient(1, 0, a, b, 400.0, 0.0, 10.0));
+  ASSERT_TRUE(sys->confirm_virtual_link(1, 0, a, b, /*session=*/9, 1.0));
+  ASSERT_EQ(sys->link_commits(9).size(), path.size());
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    EXPECT_EQ(sys->link_commits(9)[i].link, path[i]);  // walk order
+    EXPECT_EQ(sys->link_commits(9)[i].kbps, 400.0);
+    EXPECT_DOUBLE_EQ(sys->link_pool(path[i]).available(99.0),
+                     sys->link_pool(path[i]).capacity() - 400.0);
+  }
+  sys->release_session(9);
+  for (const auto l : path) {
+    EXPECT_DOUBLE_EQ(sys->link_pool(l).available(99.0), sys->link_pool(l).capacity());
+    EXPECT_EQ(sys->link_pool(l).committed_count(), 0u);
+  }
+}
+
+TEST_F(SystemFixture, HoldListNamesEveryCreatedRecordOnce) {
+  const NodeId a = 0, b = 5;
+  const auto path = mesh->virtual_link_path(a, b);
+  ASSERT_TRUE(sys->reserve_node_transient(3, 0, 2, ResourceVector(1, 1), 0.0, 60.0));
+  ASSERT_TRUE(sys->reserve_virtual_link_transient(3, 1, a, b, 10.0, 0.0, 60.0));
+  // Refreshes take no new record, so they list nothing.
+  ASSERT_TRUE(sys->reserve_node_transient(3, 0, 2, ResourceVector(1, 1), 1.0, 60.0));
+  ASSERT_TRUE(sys->reserve_virtual_link_transient(3, 1, a, b, 10.0, 1.0, 60.0));
+  const auto holds = sys->hold_list(3);
+  ASSERT_EQ(holds.size(), 1 + path.size());
+  EXPECT_EQ(holds[0], StreamSystem::PoolRef{2});
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    EXPECT_EQ(holds[1 + i], path[i] | StreamSystem::kLinkPool);
+  }
+  sys->cancel_request(3);
+  EXPECT_TRUE(sys->hold_list(3).empty());
+  EXPECT_EQ(sys->held_request_count(), 0u);
+}
+
 TEST_F(SystemFixture, DirectVirtualLinkCommitRollsBackOnFailure) {
   const NodeId a = 1, b = static_cast<NodeId>(sys->node_count() - 2);
   const auto& path = mesh->virtual_link_path(a, b);
   ASSERT_FALSE(path.empty());
   const auto last = path.back();
   const double cap = sys->link_pool(last).capacity();
-  ASSERT_TRUE(sys->link_pool(last).commit_direct(42, cap, 0.0));
+  ASSERT_TRUE(sys->link_pool(last).commit(cap, 0.0));
 
   EXPECT_FALSE(sys->commit_virtual_link_direct(7, a, b, 100.0, 0.0));
   for (auto l : path) {
